@@ -19,6 +19,7 @@ occurrence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .model import Grammar, Ref, Scheme, Term, Text, make_text
 
@@ -348,44 +349,46 @@ class Morphism:
         return tuple(out)
 
 
-def _alpha_levels(limit_size: int):
+def _alpha_next(level: list[str]) -> list[str]:
+    return sorted(x + y for x in level for y in level if x <= y)
+
+
+def _beta_next(level: list[str]) -> list[str]:
+    bad = level[-1] + level[0]
+    return sorted(x + y for x in level for y in level if x + y != bad)
+
+
+def _levels(next_level):
+    """Levels of binary strings: ["0", "1"], then next_level of the last one."""
     level = ["0", "1"]
     while True:
-        nxt = sorted(x + y for x in level for y in level if x <= y)
-        yield nxt
-        level = nxt
-        if len(level) > limit_size:
-            return
+        yield level
+        level = next_level(level)
+
+
+def _first_levels(next_level, min_size: int) -> list[list[str]]:
+    """Levels up to the first one after ["0", "1"] with >= min_size strings."""
+    levels: list[list[str]] = []
+    for level in _levels(next_level):
+        levels.append(level)
+        if len(levels) >= 2 and len(level) >= min_size:
+            return levels
+
+
+def _sequence(levels, count: int) -> list[str]:
+    out: list[str] = []
+    for level in levels:  # stop before the next level is built
+        out += level
+        if len(out) >= count:
+            return out[:count]
 
 
 def alpha_sequence(count: int) -> list[str]:
-    out: list[str] = []
-    level = ["0", "1"]
-    while len(out) < count:
-        level = sorted(x + y for x in level for y in level if x <= y)
-        out += level
-    return out[:count]
-
-
-def _beta_levels(min_size: int) -> list[list[str]]:
-    levels = [["0", "1"]]
-    while len(levels[-1]) < min_size or len(levels) < 2:
-        prev = levels[-1]
-        bad = prev[-1] + prev[0]
-        nxt = sorted(x + y for x in prev for y in prev if x + y != bad)
-        levels.append(nxt)
-    return levels
+    return _sequence(islice(_levels(_alpha_next), 1, None), count)
 
 
 def beta_sequence(count: int) -> list[str]:
-    out: list[str] = []
-    level = ["0", "1"]
-    out += level
-    while len(out) < count:
-        bad = level[-1] + level[0]
-        level = sorted(x + y for x in level for y in level if x + y != bad)
-        out += level
-    return out[:count]
+    return _sequence(_levels(_beta_next), count)
 
 
 def beta_block(m: int) -> str:
@@ -406,13 +409,7 @@ def _bits(binary: str) -> tuple:
 
 
 def _lzd_priming(sigma: int):
-    levels: list[list[str]] = []
-    level = ["0", "1"]
-    while True:
-        level = sorted(x + y for x in level for y in level if x <= y)
-        levels.append(level)
-        if len(level) >= sigma:
-            break
+    levels = _first_levels(_alpha_next, sigma)[1:]
     images = levels[-1][:sigma]
     prefix_strings: list[str] = []
     for lv in levels[:-1]:
@@ -422,7 +419,7 @@ def _lzd_priming(sigma: int):
 
 
 def _lzmw_priming(sigma: int):
-    levels = _beta_levels(sigma)
+    levels = _first_levels(_beta_next, sigma)
     big = len(levels) - 1          # smallest level >= 1 whose size reaches sigma
     seq: list[str] = []
     for lv in levels:

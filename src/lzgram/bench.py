@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .adversarial import FAMILIES
 from .fast import parse_fast, parse_las_vegas_detailed
@@ -13,9 +13,6 @@ from .model import Scheme, parse_reference
 from .naive import parse_naive
 
 CSV_HEADER = "family,scheme,algo,k,n,z,cmp,edges,nanos,seed"
-
-ALGOS = ("reference", "naive", "fast", "lasvegas")
-
 
 @dataclass(frozen=True)
 class BenchRecord:
@@ -36,22 +33,33 @@ class BenchRecord:
                 f"{self.wall_nanos},{self.seed}")
 
 
-def run_parse(text, scheme: Scheme, algo: str, seed: int = 0,
-              p: int = MERSENNE61):
-    """Parse with the named algorithm; returns (parsing, cmp, edges)."""
-    if algo == "reference":
-        return parse_reference(text, scheme), 0, 0
-    if algo == "naive":
-        res = parse_naive(text, scheme)
-        return res.parsing, res.stats.symbol_comparisons, res.stats.edges_traversed
-    if algo == "fast":
-        cfg = HashConfig.from_seed(seed, p)
-        return parse_fast(text, scheme, cfg=cfg).parsing, 0, 0
-    if algo == "lasvegas":
-        det = parse_las_vegas_detailed(lambda: text.symbols, scheme,
-                                       seed=seed, p=p)
-        return det.parsing, 0, 0
-    raise ValueError(f"unknown algorithm {algo!r}")
+def _reference(text, scheme: Scheme, seed: int, p: int):
+    return parse_reference(text, scheme), {}
+
+
+def _naive(text, scheme: Scheme, seed: int, p: int):
+    res = parse_naive(text, scheme)
+    return res.parsing, asdict(res.stats)
+
+
+def _fast(text, scheme: Scheme, seed: int, p: int):
+    res = parse_fast(text, scheme, cfg=HashConfig.from_seed(seed, p))
+    return res.parsing, asdict(res.stats)
+
+
+def _lasvegas(text, scheme: Scheme, seed: int, p: int):
+    res = parse_las_vegas_detailed(lambda: text.symbols, scheme, seed=seed, p=p)
+    return res.parsing, {"attempts": res.attempts, **asdict(res.stats)}
+
+
+# Algorithm name -> parse(text, scheme, seed, p) returning (parsing, counters),
+# counters being a flat name -> int dict in the order `parse --stats` prints.
+PARSERS = {
+    "reference": _reference,
+    "naive": _naive,
+    "fast": _fast,
+    "lasvegas": _lasvegas,
+}
 
 
 def run_cell(family: str, algo: str, k: int, seed: int = 0,
@@ -61,10 +69,11 @@ def run_cell(family: str, algo: str, k: int, seed: int = 0,
         scheme = natural_scheme
     text = gen(k)
     t0 = time.perf_counter_ns()
-    parsing, cmp_, edges = run_parse(text, scheme, algo, seed, p)
+    parsing, counters = PARSERS[algo](text, scheme, seed, p)
     nanos = time.perf_counter_ns() - t0
     return BenchRecord(family, scheme.value, algo, k, len(text), len(parsing),
-                       cmp_, edges, nanos, seed)
+                       counters.get("symbol_comparisons", 0),
+                       counters.get("edges_traversed", 0), nanos, seed)
 
 
 def run_bench(family: str, algo: str, kmin: int, kmax: int, seed: int = 0,

@@ -9,18 +9,15 @@ which exists to make hash collisions observable at tiny moduli.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
 from .adversarial import FAMILIES, ParameterError
-from .bench import CSV_HEADER, fit_csv, run_bench
-from .fast import parse_fast, parse_las_vegas_detailed
+from .bench import CSV_HEADER, PARSERS, fit_csv, run_bench
 from .formats import (FormatError, read_parsing_file, read_text_file,
                       write_parsing_file, write_text_file)
-from .hashing import MERSENNE61, HashConfig
-from .model import Scheme, parse_reference, verify_parsing
-from .naive import parse_naive
+from .hashing import MERSENNE61
+from .model import Scheme, verify_parsing
 
 MODULUS_ENV = "LZGRAM_MODULUS"
 
@@ -73,33 +70,14 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _run_algo(text, scheme: Scheme, algo: str, seed: int):
-    """Returns (parsing, stats key/value pairs)."""
-    p = _modulus()
-    if algo == "reference":
-        return parse_reference(text, scheme), []
-    if algo == "naive":
-        res = parse_naive(text, scheme)
-        s = res.stats
-        return res.parsing, [("symbol_comparisons", s.symbol_comparisons),
-                             ("edges_traversed", s.edges_traversed),
-                             ("nodes_created", s.nodes_created)]
-    if algo == "fast":
-        res = parse_fast(text, scheme, cfg=HashConfig.from_seed(seed, p))
-        return res.parsing, list(dataclasses.asdict(res.stats).items())
-    if algo == "lasvegas":
-        det = parse_las_vegas_detailed(lambda: text.symbols, scheme,
-                                       seed=seed, p=p)
-        pairs = [("attempts", det.attempts)]
-        pairs += list(dataclasses.asdict(det.stats).items())
-        return det.parsing, pairs
-    raise CliError(f"unknown algorithm {algo!r}", _USAGE_ERROR)
-
-
 def cmd_parse(args) -> int:
     text = _read_text(args.infile)
     scheme = Scheme(args.scheme)
-    parsing, stat_pairs = _run_algo(text, scheme, args.algo, args.seed)
+    p = _modulus()
+    try:
+        parsing, counters = PARSERS[args.algo](text, scheme, args.seed, p)
+    except RuntimeError as e:  # no Las-Vegas attempt verified
+        raise CliError(str(e), _RUN_ERROR) from None
     if args.out is not None:
         try:
             write_parsing_file(args.out, parsing)
@@ -108,7 +86,7 @@ def cmd_parse(args) -> int:
     if args.stats:
         print(f"n={len(text)}")
         print(f"z={len(parsing)}")
-        for key, value in stat_pairs:
+        for key, value in counters.items():
             print(f"{key}={value}")
     return 0
 
@@ -133,7 +111,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    _, natural_scheme, kmin_allowed = FAMILIES[args.family]
+    _, natural_scheme, _ = FAMILIES[args.family]
     scheme = Scheme(args.scheme) if args.scheme else natural_scheme
     if args.kmin > args.kmax:
         raise CliError("kmin must not exceed kmax", _USAGE_ERROR)
@@ -142,6 +120,8 @@ def cmd_bench(args) -> int:
                             seed=args.seed, scheme=scheme, p=_modulus())
     except ParameterError as e:
         raise CliError(str(e), _USAGE_ERROR) from None
+    except RuntimeError as e:  # no Las-Vegas attempt verified
+        raise CliError(str(e), _RUN_ERROR) from None
     lines = [CSV_HEADER] + [r.csv_row() for r in records]
     data = "\n".join(lines) + "\n"
     try:
@@ -182,8 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parse", help="parse a text file")
     p.add_argument("--scheme", required=True, choices=("lzd", "lzmw"))
-    p.add_argument("--algo", required=True,
-                   choices=("reference", "naive", "fast", "lasvegas"))
+    p.add_argument("--algo", required=True, choices=PARSERS)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out")
     p.add_argument("--seed", type=int, default=0)
@@ -201,8 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="counter/time growth across k")
     b.add_argument("--family", required=True, choices=sorted(FAMILIES))
     b.add_argument("--scheme", choices=("lzd", "lzmw"))
-    b.add_argument("--algo", required=True,
-                   choices=("reference", "naive", "fast", "lasvegas"))
+    b.add_argument("--algo", required=True, choices=PARSERS)
     b.add_argument("--kmin", type=int, required=True)
     b.add_argument("--kmax", type=int, required=True)
     b.add_argument("--seed", type=int, default=0)
@@ -231,9 +209,5 @@ def main(argv=None) -> int:
         return e.code
 
 
-def run() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    run()
+    sys.exit(main())

@@ -17,20 +17,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .avlgrammar import AvlGrammar
 from .hashing import MERSENNE61, Fingerprint, HashConfig, fp_concat
-from .model import (
-    Literal,
-    LzdPhrase,
-    PairIndex,
-    Parsing,
-    PhraseIndex,
-    Scheme,
-    make_text,
-    verify_parsing,
-)
+from .model import Literal, Parsing, Scheme, greedy_parse, make_text, verify_parsing
 from .ztrie import ZTrie
 
 
@@ -43,12 +34,11 @@ class BlockReader:
     factor of the known-length choice.
     """
 
-    def __init__(self, source, length_hint: int | None = None):
+    def __init__(self, source):
         try:
-            n = len(source)
+            self.known_length = len(source)
         except TypeError:
-            n = length_hint
-        self.known_length = n
+            self.known_length = None
         self._it = iter(source)
         self._peek: int | None = None
         self.delivered = 0
@@ -197,6 +187,7 @@ class FastStats:
 class FastResult:
     parsing: Parsing
     stats: FastStats
+    attempts: int = 1  # parses run by the Las-Vegas wrapper, the last one kept
 
 
 class _Engine:
@@ -209,11 +200,12 @@ class _Engine:
         self.searches = 0
         self.parts = 0
 
-    def next_part(self):
+    def next_part(self, pos: int):
         """Cut the next greedy part; None once the input is exhausted.
 
         Returns (part, length): part is Literal(sym) or the marked node's
-        dictionary reference.
+        dictionary reference.  pos is where the part starts: the length of
+        the parsed prefix, which the grammar holds.
         """
         carry = self.carry
         reader = self.reader
@@ -230,7 +222,6 @@ class _Engine:
                 carry.append_block(reader.read_block())
                 continue
             w = trie.nearest_marked(v, m)
-            pos = self.g.length
             if w is None:
                 sym = carry.symbol_at(0)
                 self.g.append_literal(sym)
@@ -259,67 +250,20 @@ class _Engine:
         )
 
 
-def lzd_parse_fast(reader: BlockReader, cfg: HashConfig) -> FastResult:
-    """Single-pass greedy two-part parsing; Monte-Carlo correct."""
-    eng = _Engine(reader, cfg)
-    phrases = []
-    while True:
-        got = eng.next_part()
-        if got is None:
-            break
-        part1, len1 = got
-        start = eng.g.length - len1
-        got2 = eng.next_part()
-        if got2 is None:
-            phrases.append(LzdPhrase(part1, None))
-            break
-        part2, _ = got2
-        phrases.append(LzdPhrase(part1, part2))
-        eng.trie.insert(start, eng.g.length, PhraseIndex(len(phrases)))
-    parsing = Parsing(Scheme.LZD, tuple(phrases), eng.g.length)
-    return FastResult(parsing, eng.stats())
-
-
-def lzmw_parse_fast(reader: BlockReader, cfg: HashConfig) -> FastResult:
-    """Single-pass greedy parsing against adjacent-pair strings; Monte-Carlo."""
-    eng = _Engine(reader, cfg)
-    phrases = []
-    starts = []
-    while True:
-        got = eng.next_part()
-        if got is None:
-            break
-        part, plen = got
-        starts.append(eng.g.length - plen)
-        phrases.append(part)
-        if len(phrases) >= 2:
-            eng.trie.insert(starts[-2], eng.g.length, PairIndex(len(phrases) - 1))
-    parsing = Parsing(Scheme.LZMW, tuple(phrases), eng.g.length)
-    return FastResult(parsing, eng.stats())
-
-
 def parse_fast(text, scheme: Scheme, cfg: HashConfig | None = None,
                seed: int = 0) -> FastResult:
-    """Parse an in-memory text (model Text or symbol sequence)."""
-    syms = getattr(text, "symbols", text)
+    """Single-pass greedy parse of a model Text or any symbol iterable;
+    Monte-Carlo correct."""
     if cfg is None:
         cfg = HashConfig.from_seed(seed)
-    reader = BlockReader(syms)
-    if scheme is Scheme.LZD:
-        return lzd_parse_fast(reader, cfg)
-    return lzmw_parse_fast(reader, cfg)
-
-
-@dataclass(frozen=True)
-class LasVegasResult:
-    parsing: Parsing
-    attempts: int
-    stats: FastStats
+    eng = _Engine(BlockReader(getattr(text, "symbols", text)), cfg)
+    parsing = greedy_parse(scheme, eng.next_part, eng.trie.insert)
+    return FastResult(parsing, eng.stats())
 
 
 def parse_las_vegas_detailed(make_reader, scheme: Scheme, seed: int = 0,
                              p: int = MERSENNE61,
-                             max_attempts: int = 64) -> LasVegasResult:
+                             max_attempts: int = 64) -> FastResult:
     """Verified parse: rerun with fresh hash bases until the output expands
     back to the input.
 
@@ -329,13 +273,9 @@ def parse_las_vegas_detailed(make_reader, scheme: Scheme, seed: int = 0,
     rng = random.Random(seed)
     for attempt in range(1, max_attempts + 1):
         cfg = HashConfig(p=p, delta=rng.randrange(1, p), seed=seed)
-        reader = BlockReader(make_reader())
-        if scheme is Scheme.LZD:
-            res = lzd_parse_fast(reader, cfg)
-        else:
-            res = lzmw_parse_fast(reader, cfg)
+        res = parse_fast(make_reader(), scheme, cfg=cfg)
         if verify_parsing(make_text(tuple(make_reader())), res.parsing):
-            return LasVegasResult(res.parsing, attempt, res.stats)
+            return replace(res, attempts=attempt)
     raise RuntimeError(f"no verified parsing after {max_attempts} attempts")
 
 

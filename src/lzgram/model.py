@@ -23,6 +23,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 MAX_SYMBOL = 1 << 32
 
@@ -208,34 +209,77 @@ def parse_reference(text: Text, scheme: Scheme) -> Parsing:
 
 
 # ---------------------------------------------------------------------------
+# The greedy phrase loop of the trie-based and streaming parsers.
+
+
+def greedy_parse(scheme: Scheme, next_part, add) -> Parsing:
+    """Parse with the scheme's phrase rule over any dictionary structure.
+
+    next_part(pos) cuts the longest dictionary part starting at pos (a fresh
+    symbol is a one-symbol Literal) and returns (part, length), or None at
+    the end of the input.  add(start, end, ref) enters the parsed
+    [start, end) into the dictionary under ref.  The reference parsers above
+    do not use this loop, so they stay an independent oracle.
+    """
+    phrases: list = []
+    pos = 0
+    if scheme is Scheme.LZD:
+        while (got := next_part(pos)) is not None:
+            first, flen = got
+            start = pos
+            pos += flen
+            got = next_part(pos)
+            if got is None:
+                phrases.append(LzdPhrase(first, None))
+                break
+            second, slen = got
+            pos += slen
+            phrases.append(LzdPhrase(first, second))
+            add(start, pos, PhraseIndex(len(phrases)))
+    else:
+        prev = 0  # start of the previous phrase
+        while (got := next_part(pos)) is not None:
+            phrase, plen = got
+            phrases.append(phrase)
+            if len(phrases) >= 2:
+                # the pair (p_(i-1), p_i) becomes available to phrase i+1
+                add(prev, pos + plen, PairIndex(len(phrases) - 1))
+            prev = pos
+            pos += plen
+    return Parsing(scheme, tuple(phrases), pos)
+
+
+# ---------------------------------------------------------------------------
 # Expansion of parsings.
 
 
-def phrase_expansions(parsing: Parsing) -> list[tuple]:
-    """Expanded string of every phrase, in order. Raises GrammarError on bad refs."""
-    out: list[tuple] = []
+def _fold_phrases(parsing: Parsing, leaf) -> list:
+    """Value of every phrase, in order: leaf(symbol) for a literal, `+` of
+    the values for a reference.  Raises GrammarError on bad refs."""
+    out: list = []
     if parsing.scheme is Scheme.LZD:
+        def part_value(i: int, part):
+            if isinstance(part, Literal):
+                return leaf(part.symbol)
+            if isinstance(part, PhraseIndex):
+                if not (1 <= part.index < i):
+                    raise GrammarError(f"phrase {i}: bad phrase reference {part.index}")
+                return out[part.index - 1]
+            raise GrammarError(f"phrase {i}: bad part {part!r}")
+
         for i, ph in enumerate(parsing.phrases, start=1):
             if not isinstance(ph, LzdPhrase):
                 raise GrammarError(f"phrase {i}: not an LZD phrase")
-            if ph.second is None and i != len(parsing.phrases):
-                raise GrammarError(f"phrase {i}: one-part phrase before the end")
-            parts = (ph.first,) if ph.second is None else (ph.first, ph.second)
-            exp: tuple = ()
-            for part in parts:
-                if isinstance(part, Literal):
-                    exp += (part.symbol,)
-                elif isinstance(part, PhraseIndex):
-                    if not (1 <= part.index < i):
-                        raise GrammarError(f"phrase {i}: bad phrase reference {part.index}")
-                    exp += out[part.index - 1]
-                else:
-                    raise GrammarError(f"phrase {i}: bad part {part!r}")
-            out.append(exp)
+            if ph.second is None:
+                if i != len(parsing.phrases):
+                    raise GrammarError(f"phrase {i}: one-part phrase before the end")
+                out.append(part_value(i, ph.first))
+            else:
+                out.append(part_value(i, ph.first) + part_value(i, ph.second))
     elif parsing.scheme is Scheme.LZMW:
         for i, ph in enumerate(parsing.phrases, start=1):
             if isinstance(ph, Literal):
-                out.append((ph.symbol,))
+                out.append(leaf(ph.symbol))
             elif isinstance(ph, PairIndex):
                 j = ph.index
                 if not (1 <= j <= i - 2):
@@ -246,6 +290,11 @@ def phrase_expansions(parsing: Parsing) -> list[tuple]:
     else:
         raise GrammarError("unknown scheme")
     return out
+
+
+def phrase_expansions(parsing: Parsing) -> list[tuple]:
+    """Expanded string of every phrase, in order. Raises GrammarError on bad refs."""
+    return _fold_phrases(parsing, lambda s: (s,))
 
 
 def phrase_lengths(parsing: Parsing) -> list[int]:
@@ -254,45 +303,11 @@ def phrase_lengths(parsing: Parsing) -> list[int]:
     A malformed parsing can describe expansions exponentially longer than any
     source text; verifiers must reject on lengths before expanding.
     """
-    out: list[int] = []
-    if parsing.scheme is Scheme.LZD:
-        for i, ph in enumerate(parsing.phrases, start=1):
-            if not isinstance(ph, LzdPhrase):
-                raise GrammarError(f"phrase {i}: not an LZD phrase")
-            if ph.second is None and i != len(parsing.phrases):
-                raise GrammarError(f"phrase {i}: one-part phrase before the end")
-            total = 0
-            for part in (ph.first,) if ph.second is None else (ph.first, ph.second):
-                if isinstance(part, Literal):
-                    total += 1
-                elif isinstance(part, PhraseIndex):
-                    if not (1 <= part.index < i):
-                        raise GrammarError(f"phrase {i}: bad phrase reference {part.index}")
-                    total += out[part.index - 1]
-                else:
-                    raise GrammarError(f"phrase {i}: bad part {part!r}")
-            out.append(total)
-    elif parsing.scheme is Scheme.LZMW:
-        for i, ph in enumerate(parsing.phrases, start=1):
-            if isinstance(ph, Literal):
-                out.append(1)
-            elif isinstance(ph, PairIndex):
-                j = ph.index
-                if not (1 <= j <= i - 2):
-                    raise GrammarError(f"phrase {i}: bad pair reference {j}")
-                out.append(out[j - 1] + out[j])
-            else:
-                raise GrammarError(f"phrase {i}: bad phrase {ph!r}")
-    else:
-        raise GrammarError("unknown scheme")
-    return out
+    return _fold_phrases(parsing, lambda s: 1)
 
 
 def expand_parsing(parsing: Parsing) -> tuple:
-    exp: tuple = ()
-    for e in phrase_expansions(parsing):
-        exp += e
-    return exp
+    return tuple(chain.from_iterable(phrase_expansions(parsing)))
 
 
 def verify_parsing(text: Text, parsing: Parsing, strict: bool = False) -> bool:
@@ -306,15 +321,12 @@ def verify_parsing(text: Text, parsing: Parsing, strict: bool = False) -> bool:
     try:
         if sum(phrase_lengths(parsing)) != len(text):
             return False
-        exps = phrase_expansions(parsing)
+        if expand_parsing(parsing) != text.symbols:
+            return False
     except GrammarError:
         return False
-    flat: list[int] = []
-    for e in exps:
-        flat.extend(e)
-    if tuple(flat) != text.symbols:
-        return False
     if strict:
+        exps = phrase_expansions(parsing)
         ref = parse_reference(text, parsing.scheme)
         ref_exps = phrase_expansions(ref)
         if len(ref_exps) != len(exps) or ref_exps != exps:

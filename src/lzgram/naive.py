@@ -12,15 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import (
-    Literal,
-    LzdPhrase,
-    PairIndex,
-    Parsing,
-    PhraseIndex,
-    Scheme,
-    Text,
-)
+from .model import Literal, Parsing, Scheme, Text, greedy_parse
 
 _CHUNK = 256
 
@@ -187,65 +179,24 @@ class NaiveResult:
     trie: CompactedTrie | None = None
 
 
-def lzd_parse_naive(text: Text, collect_trace: bool = False) -> NaiveResult:
+def parse_naive(text: Text, scheme: Scheme, collect_trace: bool = False) -> NaiveResult:
     syms = text.symbols
     n = len(syms)
     trie = CompactedTrie(syms)
+    stats = trie.stats
     trace: list = []
-    phrases: list = []
-    pos = 0
-    while pos < n:
-        phrase_start = pos
-        parts = []
-        for _ in range(2):
-            if pos >= n:
-                break
-            cmp_before = trie.stats.symbol_comparisons
-            payload, plen = trie.longest_marked(pos)
-            if plen == 0:
-                payload, plen = Literal(syms[pos]), 1
-                trie.insert_letter(pos, payload)
-            if collect_trace:
-                trace.append(PartTrace(
-                    pos, trie.stats.symbol_comparisons - cmp_before, plen))
-            parts.append(payload)
-            pos += plen
-        if len(parts) == 2:
-            phrases.append(LzdPhrase(parts[0], parts[1]))
-            trie.insert(phrase_start, pos, PhraseIndex(len(phrases)))
-        else:
-            phrases.append(LzdPhrase(parts[0], None))
-    parsing = Parsing(Scheme.LZD, tuple(phrases), n)
-    return NaiveResult(parsing, trie.stats, trace, trie)
 
-
-def lzmw_parse_naive(text: Text, collect_trace: bool = False) -> NaiveResult:
-    syms = text.symbols
-    n = len(syms)
-    trie = CompactedTrie(syms)
-    trace: list = []
-    phrases: list = []
-    starts: list[int] = []
-    pos = 0
-    while pos < n:
-        cmp_before = trie.stats.symbol_comparisons
+    def next_part(pos: int):
+        if pos >= n:
+            return None
+        cmp_before = stats.symbol_comparisons
         payload, plen = trie.longest_marked(pos)
         if plen == 0:
             payload, plen = Literal(syms[pos]), 1
             trie.insert_letter(pos, payload)
         if collect_trace:
-            trace.append(PartTrace(
-                pos, trie.stats.symbol_comparisons - cmp_before, plen))
-        phrases.append(payload)
-        starts.append(pos)
-        pos += plen
-        if len(phrases) >= 2:
-            trie.insert(starts[-2], pos, PairIndex(len(phrases) - 1))
-    parsing = Parsing(Scheme.LZMW, tuple(phrases), n)
-    return NaiveResult(parsing, trie.stats, trace, trie)
+            trace.append(PartTrace(pos, stats.symbol_comparisons - cmp_before, plen))
+        return payload, plen
 
-
-def parse_naive(text: Text, scheme: Scheme, collect_trace: bool = False) -> NaiveResult:
-    if scheme is Scheme.LZD:
-        return lzd_parse_naive(text, collect_trace)
-    return lzmw_parse_naive(text, collect_trace)
+    parsing = greedy_parse(scheme, next_part, trie.insert)
+    return NaiveResult(parsing, stats, trace, trie)

@@ -10,6 +10,10 @@ from support import EX1_TEXT, register_parsing
 
 ALGOS = ("reference", "naive", "fast", "lasvegas")
 
+STEP_STATS = ["symbol_comparisons", "edges_traversed", "nodes_created"]
+FAST_STATS = ["symbols_read", "blocks_read", "searches", "parts", "grammar_ops",
+              "trie_ops", "ma_ops", "trie_nodes", "grammar_nodes"]
+
 
 def write_ex1(tmp_path):
     path = tmp_path / "ex1.sym"
@@ -77,6 +81,22 @@ def test_parse_stats_output(tmp_path, capsys):
                  "--in", text, "--stats"]) == 0
     out = capsys.readouterr().out
     assert "symbol_comparisons=" in out and "edges_traversed=" in out
+
+
+@pytest.mark.parametrize("algo,counters", [
+    ("reference", []),
+    ("naive", STEP_STATS),
+    ("fast", FAST_STATS),
+    ("lasvegas", ["attempts"] + FAST_STATS),
+])
+def test_parse_stats_keys_pinned(tmp_path, capsys, algo, counters):
+    text = write_ex1(tmp_path)
+    for scheme in ("lzd", "lzmw"):
+        assert main(["parse", "--scheme", scheme, "--algo", algo,
+                     "--in", text, "--stats"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("=")[0] for line in lines] == ["n", "z"] + counters
+        assert lines[0] == "n=13"
 
 
 def test_verify_detects_mismatch(tmp_path, capsys):
@@ -157,6 +177,20 @@ def test_modulus_env_override(tmp_path, monkeypatch, capsys):
         assert main(["parse", "--scheme", "lzd", "--algo", "lasvegas",
                      "--in", text]) == 2
     capsys.readouterr()
+
+
+def test_lasvegas_exhaustion_exits_1(tmp_path, monkeypatch, capsys):
+    # with p=3 no hash base separates the example's strings, so every
+    # attempt fails verification
+    text = write_ex1(tmp_path)
+    monkeypatch.setenv("LZGRAM_MODULUS", "3")
+    assert main(["parse", "--scheme", "lzd", "--algo", "lasvegas",
+                 "--in", text]) == 1
+    assert capsys.readouterr().err.startswith("lzgram: no verified parsing")
+    assert main(["bench", "--family", "lzd-approx", "--algo", "lasvegas",
+                 "--kmin", "4", "--kmax", "4",
+                 "--csv", str(tmp_path / "b.csv")]) == 1
+    assert capsys.readouterr().err.startswith("lzgram: no verified parsing")
 
 
 def test_unknown_arguments_exit_2(capsys):
