@@ -19,7 +19,7 @@ occurrence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 from .model import Grammar, Ref, Scheme, Term, Text, make_text
 
@@ -101,6 +101,18 @@ class _Builder:
         return Grammar(self.productions, start)
 
 
+def _delta_x_rules(g: _Builder, a_chain: list[int], k: int):
+    """Rules for delta_0..delta_k and for x, as `_delta` and `_approx_x`
+    spell them; returns (delta rule ids, x rule id)."""
+    deltas = [g.rule([Ref(a_chain[i]), Term(_B), Term(_B), Ref(a_chain[k - i])])
+              for i in range(k + 1)]
+    x_rhs: list = []
+    for j in range(k - 1, k // 2, -1):
+        x_rhs += [Ref(deltas[k]), Ref(deltas[j])]
+    x_rhs += [Ref(deltas[k]), Ref(a_chain[k - 1])]
+    return deltas, g.rule(x_rhs)
+
+
 def small_grammar_lzmw(k: int) -> Grammar:
     _check_k(k, 4)
     g = _Builder()
@@ -112,13 +124,7 @@ def small_grammar_lzmw(k: int) -> Grammar:
         b_chain.append(g.rule([Ref(b_chain[i - 1]), Term(_B), Ref(a_chain[i])]))
     gammas = [g.rule([Term(_B), Ref(a_chain[2 * i + 1]), Term(_B), Ref(b_chain[i])])
               for i in range(k)]
-    deltas = [g.rule([Ref(a_chain[i]), Term(_B), Term(_B), Ref(a_chain[k - i])])
-              for i in range(k + 1)]
-    x_rhs: list = []
-    for j in range(k - 1, k // 2, -1):
-        x_rhs += [Ref(deltas[k]), Ref(deltas[j])]
-    x_rhs += [Ref(deltas[k]), Ref(a_chain[k - 1])]
-    x_rule = g.rule(x_rhs)
+    deltas, x_rule = _delta_x_rules(g, a_chain, k)
     s_rhs: list = [Ref(gi) for gi in gammas]
     for i in range(k + 1):
         s_rhs += [Ref(deltas[i]), Term(_D)]
@@ -141,13 +147,7 @@ def small_grammar_lzd(k: int) -> Grammar:
         a_chain.append(g.rule([Ref(a_chain[i - 1]), Term(_A)]))
         c_chain.append(g.rule([Ref(c_chain[i - 1]), Term(_C)]))
         d_chain.append(g.rule([Ref(d_chain[i - 1]), Term(_D)]))
-    deltas = [g.rule([Ref(a_chain[i]), Term(_B), Term(_B), Ref(a_chain[k - i])])
-              for i in range(k + 1)]
-    x_rhs: list = []
-    for j in range(k - 1, k // 2, -1):
-        x_rhs += [Ref(deltas[k]), Ref(deltas[j])]
-    x_rhs += [Ref(deltas[k]), Ref(a_chain[k - 1])]
-    x_rule = g.rule(x_rhs)
+    deltas, x_rule = _delta_x_rules(g, a_chain, k)
     s_rhs: list = []
     for i in range(2, k + 1):
         s_rhs += [Ref(a_chain[i]), Ref(c_chain[i])]
@@ -173,7 +173,6 @@ class SlowLayout:
 
 class _SlowBuild:
     def __init__(self, k: int):
-        self.k = k
         self.out: list[int] = []
         self.blocks: list[tuple[str, int, int]] = []
         self.next_sep = k * k
@@ -195,71 +194,72 @@ class _SlowBuild:
         return SlowLayout(tuple(self.blocks))
 
 
+def _wcat(lo: int, hi: int, k: int) -> list[int]:
+    # w_lo w_{lo+1} ... w_hi (empty when lo > hi); the letters are consecutive
+    return list(range((lo - 1) * k, hi * k))
+
+
 def _w(i: int, k: int) -> list[int]:
     # letters a_{i,1}..a_{i,k} with 1-based i
-    base = (i - 1) * k
-    return list(range(base, base + k))
+    return _wcat(i, i, k)
 
 
-def _wcat(lo: int, hi: int, k: int) -> list[int]:
-    # w_lo w_{lo+1} ... w_hi (empty when lo > hi)
-    out: list[int] = []
-    for i in range(lo, hi + 1):
-        out += _w(i, k)
-    return out
+# The pieces below are shared by both slow families; each builder keeps only
+# the blocks where the two constructions differ.
+
+
+def _s_prime_pieces(k: int):
+    """The priming pieces of s', in text order.  LZD writes them back to
+    back; LZMW follows each piece with a fresh separator."""
+    w_full = _wcat(1, k, k)
+    for i in range(1, k + 1):
+        for j in range(2, k + 1):
+            yield _w(i, k)[:j]
+    for i in range(1, k + 1):
+        for j in range(k - 1, 1, -1):
+            yield _w(i, k)[j - 1:]
+    for t in range(k - 2, 0, -1):
+        yield _wcat(t, k - 1, k)
+    p = 1
+    while p <= k:
+        yield w_full * p
+        p *= 2
+    for j in range(2, k + 1):
+        yield _w(k, k)[j - 1:] + w_full * k
+
+
+def _u(i: int, j: int, k: int) -> list[int]:
+    # w_k[j-1:] . w_1 ... w_{i-1} . w_i[:j]
+    return _w(k, k)[j - 1:] + _wcat(1, i - 1, k) + _w(i, k)[:j]
+
+
+def _v_stem(i: int, j: int, k: int) -> list[int]:
+    # w_i[j-1:] . w_{i+1} ... w_{k-1}
+    return _w(i, k)[j - 1:] + _wcat(i + 1, k - 1, k)
+
+
+def _z(i: int, k: int) -> list[int]:
+    # probe-heavy: w_i[1:] . w_{i+1}...w_k . (w_1...w_k)^(k-2) . w_1...w_i
+    return _w(i, k)[1:] + _wcat(i + 1, k, k) + _wcat(1, k, k) * (k - 2) + _wcat(1, i, k)
 
 
 def _build_lzd_slow(k: int) -> _SlowBuild:
     _check_k(k, 8)
     b = _SlowBuild(k)
-    k2 = k // 2
-    w_full = _wcat(1, k, k)
-
-    s_prime: list[int] = []
-    for i in range(1, k + 1):
-        wi = _w(i, k)
-        for j in range(2, k + 1):
-            s_prime += wi[:j]
-    for i in range(1, k + 1):
-        wi = _w(i, k)
-        for j in range(k - 1, 1, -1):
-            s_prime += wi[j - 1:]
-    for t in range(k - 2, 0, -1):
-        s_prime += _wcat(t, k - 1, k)
-    s_prime += w_full
-    p = 2
-    while p <= k:
-        s_prime += w_full * p
-        p *= 2
-    wk = _w(k, k)
-    for j in range(2, k + 1):
-        s_prime += wk[j - 1:] + w_full * k
-    b.block("s_prime", s_prime)
-
-    def u_prime(i: int, j: int) -> list[int]:
-        return wk[j - 1:] + _wcat(1, i - 1, k) + _w(i, k)[:j]
-
-    def u_full(i: int, j: int) -> list[int]:
-        head = wk[j - 1:] + _wcat(1, i - 2, k) + _w(i - 1, k)[:j]
-        return head + _w(i - 1, k)[j:] + u_prime(i, j)
-
-    def v_piece(i: int, j: int) -> list[int]:
-        stem = _w(i, k)[j - 1:] + _wcat(i + 1, k - 1, k)
-        return stem + stem + wk[:j - 1]
-
+    b.block("s_prime", list(chain.from_iterable(_s_prime_pieces(k))))
     for i in range(1, k - 1):
         x: list[int] = []
         for j in range(2, k + 1):
             if i == 1 or j == k:
-                x += u_prime(i, j)
+                x += _u(i, j, k)
             else:
-                x += u_full(i, j)
+                x += _u(i - 1, j, k) + _w(i - 1, k)[j:] + _u(i, j, k)
             x += b.sep() + b.sep()
         for j in range(2, k + 1):
-            x += v_piece(i, j) + b.sep() + b.sep()
+            stem = _v_stem(i, j, k)
+            x += stem + stem + _w(k, k)[:j - 1] + b.sep() + b.sep()
         b.block(f"x{i}", x)
-        z = _w(i, k)[1:] + _wcat(i + 1, k, k) + w_full * (k - 2) + _wcat(1, i, k)
-        b.block(f"z{i}", z)
+        b.block(f"z{i}", _z(i, k))
         b.block(f"sep{i}", b.sep() + b.sep())
     return b
 
@@ -267,35 +267,15 @@ def _build_lzd_slow(k: int) -> _SlowBuild:
 def _build_lzmw_slow(k: int) -> _SlowBuild:
     _check_k(k, 8)
     b = _SlowBuild(k)
-    w_full = _wcat(1, k, k)
-    wk = _w(k, k)
-
     s_prime: list[int] = []
-    for i in range(1, k + 1):
-        wi = _w(i, k)
-        for j in range(2, k + 1):
-            s_prime += wi[:j] + b.sep()
-    for i in range(1, k + 1):
-        wi = _w(i, k)
-        for j in range(k - 1, 1, -1):
-            s_prime += wi[j - 1:] + b.sep()
-    for t in range(k - 2, 0, -1):
-        s_prime += _wcat(t, k - 1, k) + b.sep()
-    s_prime += w_full + b.sep()
-    p = 2
-    while p <= k:
-        s_prime += w_full * p + b.sep()
-        p *= 2
-    for j in range(2, k + 1):
-        s_prime += wk[j - 1:] + w_full * k + b.sep()
+    for piece in _s_prime_pieces(k):
+        s_prime += piece + b.sep()
     b.block("s_prime", s_prime)
 
     y: list[int] = []
-    w1 = _w(1, k)
-    w2 = _w(2, k)
     for j in range(2, k + 1):
-        y += wk[j - 1:] + w1 + b.sep()
-        y += wk[j - 1:] + w1 + w2[:j] + b.sep()
+        y += _w(k, k)[j - 1:] + _w(1, k) + b.sep()
+        y += _u(2, j, k) + b.sep()
     b.block("y", y)
 
     for i in range(4, k - 1, 2):
@@ -304,15 +284,12 @@ def _build_lzmw_slow(k: int) -> _SlowBuild:
             x += _w(i - 2, k)[j:] + _w(i - 1, k)[:j] + b.sep()
             x += _w(i - 1, k)[j:] + _w(i, k)[:j] + b.sep()
         for j in range(2, k + 1):
-            x += wk[j - 1:] + _wcat(1, i - 3, k) + _w(i - 2, k)[:j]
-            x += _w(i - 2, k)[j:] + _w(i - 1, k)[:j] + b.sep()
+            x += _u(i - 2, j, k) + _w(i - 2, k)[j:] + _w(i - 1, k)[:j] + b.sep()
         for j in range(2, k + 1):
-            stem = _w(i, k)[j - 1:] + _wcat(i + 1, k - 1, k)
-            x += stem + b.sep() + stem + wk[:j - 1] + b.sep()
+            stem = _v_stem(i, j, k)
+            x += stem + b.sep() + stem + _w(k, k)[:j - 1] + b.sep()
         b.block(f"x{i}", x)
-        z = _w(i, k)[1:] + _wcat(i + 1, k, k) + w_full * (k - 2) + _wcat(1, i, k)
-        z += b.sep()
-        b.block(f"z{i}", z)
+        b.block(f"z{i}", _z(i, k) + b.sep())
     return b
 
 
@@ -411,19 +388,13 @@ def _bits(binary: str) -> tuple:
 def _lzd_priming(sigma: int):
     levels = _first_levels(_alpha_next, sigma)[1:]
     images = levels[-1][:sigma]
-    prefix_strings: list[str] = []
-    for lv in levels[:-1]:
-        prefix_strings += lv
-    prefix_strings += images
-    return "".join(prefix_strings), images
+    return "".join(chain.from_iterable(levels[:-1])) + "".join(images), images
 
 
 def _lzmw_priming(sigma: int):
     levels = _first_levels(_beta_next, sigma)
     big = len(levels) - 1          # smallest level >= 1 whose size reaches sigma
-    seq: list[str] = []
-    for lv in levels:
-        seq += lv
+    seq = list(chain.from_iterable(levels))
     level_start = sum(len(lv) for lv in levels[:big - 1])  # 0-based index of 0^(2^(big-1))
     level_end = level_start + len(levels[big - 1])
     entered: dict[str, None] = {}

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
+from itertools import islice
 
 from .avlgrammar import AvlGrammar
 from .hashing import MERSENNE61, Fingerprint, HashConfig, fp_concat
@@ -61,15 +62,9 @@ class BlockReader:
 
     def read_block(self) -> list:
         want = self.block_length()
-        out = []
-        if self._peek is not None:
-            out.append(self._peek)
-            self._peek = None
-        while len(out) < want:
-            try:
-                out.append(next(self._it))
-            except StopIteration:
-                break
+        out = [] if self._peek is None else [self._peek]
+        self._peek = None
+        out += islice(self._it, want - len(out))
         if out:
             self.delivered += len(out)
             self.blocks_read += 1
@@ -91,16 +86,7 @@ class _Carry:
     def __init__(self, cfg: HashConfig, g: AvlGrammar):
         self.cfg = cfg
         self.g = g
-        self.occ_start = 0
-        self.occ_len = 0
-        self._occ_fp: Fingerprint | None = None
-        # logical tail = _tail[_toff:]; _th/_tp are rolling prefix hashes of
-        # _tail from its absolute start, _tinv undoes the dropped prefix
-        self._tail: list = []
-        self._th = [0]
-        self._tp = [1]
-        self._toff = 0
-        self._tinv = 1
+        self.rebase(0, 0, [])
 
     @property
     def length(self) -> int:
@@ -128,29 +114,27 @@ class _Carry:
             return self.g.symbol_at(self.occ_start + q)
         return self._tail[self._toff + q - self.occ_len]
 
-    def append_block(self, syms) -> None:
+    def rebase(self, start: int, length: int, block: list) -> None:
+        """Replace the whole carry by content[start:start+length) followed
+        by the freshly read block (which the carry takes over)."""
+        self.occ_start = start
+        self.occ_len = length
+        self._occ_fp: Fingerprint | None = None
+        # logical tail = _tail[_toff:]; _th/_tp are rolling prefix hashes of
+        # _tail from its absolute start, _tinv undoes the dropped prefix
+        self._tail = block
+        self._toff = 0
+        self._tinv = 1
         p = self.cfg.p
         delta = self.cfg.delta
-        tail = self._tail
-        th, tp = self._th, self._tp
-        h, pw = th[-1], tp[-1]
-        for s in syms:
-            tail.append(s)
+        th = self._th = [0]
+        tp = self._tp = [1]
+        h, pw = 0, 1
+        for s in block:
             h = (h + pw * s) % p
             pw = pw * delta % p
             th.append(h)
             tp.append(pw)
-
-    def rebase(self, start: int, length: int) -> None:
-        """Replace the whole carry by content[start:start+length)."""
-        self.occ_start = start
-        self.occ_len = length
-        self._occ_fp = None
-        self._tail = []
-        self._th = [0]
-        self._tp = [1]
-        self._toff = 0
-        self._tinv = 1
 
     def consume(self, k: int) -> None:
         """Drop the first k symbols (they were just parsed and appended)."""
@@ -196,7 +180,6 @@ class _Engine:
         self.g = AvlGrammar(cfg)
         self.trie = ZTrie(self.g)
         self.carry = _Carry(cfg, self.g)
-        self.seen: set = set()
         self.searches = 0
         self.parts = 0
 
@@ -218,16 +201,15 @@ class _Engine:
             if m == carry.length and reader.has_more():
                 # whole carry certified on a trie path: re-anchor it to that
                 # path's occurrence and read more
-                carry.rebase(v.ell, m)
-                carry.append_block(reader.read_block())
+                carry.rebase(v.ell, m, reader.read_block())
                 continue
             w = trie.nearest_marked(v, m)
             if w is None:
+                # only a fresh symbol has no marked prefix (w.h.p.); were a
+                # collision to hide a seen one, insert would just re-mark it
                 sym = carry.symbol_at(0)
                 self.g.append_literal(sym)
-                if sym not in self.seen:
-                    self.seen.add(sym)
-                    trie.insert(pos, pos + 1, Literal(sym))
+                trie.insert(pos, pos + 1, Literal(sym))
                 part, plen = Literal(sym), 1
             else:
                 part, plen = w.payload, w.depth
@@ -272,7 +254,7 @@ def parse_las_vegas_detailed(make_reader, scheme: Scheme, seed: int = 0,
     """
     rng = random.Random(seed)
     for attempt in range(1, max_attempts + 1):
-        cfg = HashConfig(p=p, delta=rng.randrange(1, p), seed=seed)
+        cfg = HashConfig(p=p, delta=rng.randrange(1, p))
         res = parse_fast(make_reader(), scheme, cfg=cfg)
         if verify_parsing(make_text(tuple(make_reader())), res.parsing):
             return replace(res, attempts=attempt)

@@ -70,18 +70,13 @@ def load_text_raw(data: bytes) -> Text:
     return Text(tuple(data), 256)
 
 
-def read_text_file(path: str, format: str = "auto") -> Text:
+def read_text_file(path: str) -> Text:
+    """Load a `sym` text (it starts with `#sigma`), else raw bytes."""
     with open(path, "rb") as f:
         data = f.read()
-    if format == "sym":
+    if data.startswith(b"#sigma"):
         return load_text(data)
-    if format == "raw":
-        return load_text_raw(data)
-    if format == "auto":
-        if data.startswith(b"#sigma"):
-            return load_text(data)
-        return load_text_raw(data)
-    raise ValueError(f"unknown text format {format!r}")
+    return load_text_raw(data)
 
 
 def write_text_file(path: str, text: Text, format: str = "sym") -> None:

@@ -18,14 +18,13 @@ class HashConfig:
 
     p: int = MERSENNE61
     delta: int = 1
-    seed: int | None = None
 
     @staticmethod
     def from_seed(seed: int, p: int = MERSENNE61) -> "HashConfig":
         if p < 3:
             raise ValueError("modulus too small")
         delta = random.Random(seed).randrange(1, p)
-        return HashConfig(p=p, delta=delta, seed=seed)
+        return HashConfig(p=p, delta=delta)
 
 
 @dataclass(frozen=True)

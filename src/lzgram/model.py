@@ -142,7 +142,6 @@ def lzd_parse_reference(text: Text) -> Parsing:
     s = text.symbols
     n = len(s)
     d = _Dictionary()
-    expansions: list[tuple] = []
     phrases: list[LzdPhrase] = []
     seen: set[int] = set()
     pos = 0
@@ -169,9 +168,7 @@ def lzd_parse_reference(text: Text) -> Parsing:
             seen.update(s[pos:pos + slen])
             pos += slen
         phrases.append(LzdPhrase(first, second))
-        expansion = s[pos - flen - slen:pos]
-        expansions.append(expansion)
-        d.add(expansion, PhraseIndex(len(phrases)))
+        d.add(s[pos - flen - slen:pos], PhraseIndex(len(phrases)))
     return Parsing(Scheme.LZD, tuple(phrases), n)
 
 
@@ -448,7 +445,7 @@ def expand_grammar(g: Grammar) -> tuple:
 
 def parsing_to_grammar(parsing: Parsing) -> Grammar:
     """One production per phrase plus a start rule listing all phrases."""
-    exps = phrase_expansions(parsing)  # validates references
+    phrase_lengths(parsing)  # validates references without expanding
     prods: dict[int, tuple] = {}
     if parsing.scheme is Scheme.LZD:
         for i, ph in enumerate(parsing.phrases, start=1):

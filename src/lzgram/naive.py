@@ -161,15 +161,6 @@ class CompactedTrie:
         self.stats.nodes_created += 1
         return mid
 
-    def node_count(self) -> int:
-        count = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            stack.extend(node.children.values())
-        return count
-
 
 @dataclass
 class NaiveResult:

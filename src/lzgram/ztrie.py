@@ -226,10 +226,6 @@ class _TrieNode:
         self.close_item = None
         self.ma_marked = False
 
-    @property
-    def r(self) -> int:
-        return self.ell + self.depth
-
 
 class ZTrie:
     """Compacted trie over substrings of an append-only grammar's content.
@@ -239,10 +235,10 @@ class ZTrie:
     migrate keys so the mapping stays exact (up to fingerprint collisions).
     """
 
-    def __init__(self, g: AvlGrammar, ma_seed: int = 0):
+    def __init__(self, g: AvlGrammar):
         self.g = g
         self.om = OrderList()
-        self.ma = MarkedAncestorIndex(ma_seed)
+        self.ma = MarkedAncestorIndex()
         self.table: dict = {}
         self.ops = 0
         root = _TrieNode(None, 0, 0)
@@ -253,9 +249,6 @@ class ZTrie:
 
     def node_count(self) -> int:
         return self._nodes
-
-    def _sym(self, pos: int) -> int:
-        return self.g.symbol_at(pos)
 
     def _register(self, node: _TrieNode) -> None:
         f = two_fattest(node.parent.depth, node.depth)
@@ -294,10 +287,10 @@ class ZTrie:
                 self._mark(v, payload)
                 return v
             self.ops += 1
-            c = v.children.get(self._sym(start + d))
+            c = v.children.get(self.g.symbol_at(start + d))
             if c is None:
                 leaf = self._new_leaf(v, length, start)
-                v.children[self._sym(start + d)] = leaf
+                v.children[self.g.symbol_at(start + d)] = leaf
                 self._register(leaf)
                 self._mark(leaf, payload)
                 return leaf
@@ -311,7 +304,7 @@ class ZTrie:
                 self._mark(mid, payload)
                 return mid
             leaf = self._new_leaf(mid, length, start)
-            mid.children[self._sym(start + d + q)] = leaf
+            mid.children[self.g.symbol_at(start + d + q)] = leaf
             self._register(leaf)
             self._mark(leaf, payload)
             return leaf
@@ -322,8 +315,8 @@ class ZTrie:
         mid.open_item = self.om.insert_after(c.open_item.prev)
         mid.close_item = self.om.insert_after(c.close_item)
         self._nodes += 1
-        v.children[self._sym(c.ell + v.depth)] = mid
-        mid.children[self._sym(c.ell + mid_depth)] = c
+        v.children[self.g.symbol_at(c.ell + v.depth)] = mid
+        mid.children[self.g.symbol_at(c.ell + mid_depth)] = c
         c.parent = mid
         # migrate c's search key: its depth span shrank from (v.depth, c.depth]
         # to (mid_depth, c.depth]

@@ -116,6 +116,8 @@ def test_phrase_lengths_guard_exponential_blowup():
     lens = phrase_lengths(p)
     assert lens[0] == 2 and lens[-1] == 2 ** 60
     assert not verify_parsing(make_text([0] * 42, 1), p)
+    # Converting to a grammar validates on lengths too: O(z), not O(2^60).
+    assert parsing_to_grammar(p).size() == 180
 
 
 def test_phrase_ops_raise_on_malformed():
