@@ -89,60 +89,47 @@ class AvlGrammar:
             raise ValueError(f"copy range [{start},{end}) outside content")
         if start == end:
             return
-        pieces: list[_Node] = []
-        self._collect(self.root, start, end, 0, pieces)
         acc: _Node | None = None
-        for piece in pieces:
+        for piece in self._cover(start, end):
             acc = self._join(acc, piece)
         self.root = self._join(self.root, acc)
 
-    def _collect(self, node: _Node, lo: int, hi: int, off: int, out) -> None:
-        if lo >= off + node.length or hi <= off:
-            return
-        self.ops += 1
-        if lo <= off and off + node.length <= hi:
-            out.append(node)
-            return
-        self._collect(node.left, lo, hi, off, out)
-        self._collect(node.right, lo, hi, off + node.left.length, out)
-
     # -- queries ---------------------------------------------------------
+
+    def _cover(self, start: int, end: int) -> list:
+        """The maximal nodes whose expansions tile content[start:end), left
+        to right (0 < end - start); only children overlapping it are visited."""
+        out = []
+        stack = [(self.root, 0)]
+        while stack:
+            node, off = stack.pop()
+            self.ops += 1
+            if start <= off and off + node.length <= end:
+                out.append(node)
+                continue
+            mid = off + node.left.length
+            if mid < end:
+                stack.append((node.right, mid))
+            if start < mid:
+                stack.append((node.left, off))
+        return out
 
     def substring_fp(self, start: int, end: int) -> Fingerprint:
         if not 0 <= start <= end <= self.length:
             raise ValueError(f"range [{start},{end}) outside content")
         if start == end:
             return fp_empty()
-        return self._fp(self.root, start, end, 0)
-
-    def _fp(self, node: _Node, lo: int, hi: int, off: int) -> Fingerprint:
-        self.ops += 1
-        if lo <= off and off + node.length <= hi:
-            return Fingerprint(node.hash, node.pow, node.length)
-        mid = off + node.left.length
-        if hi <= mid:
-            return self._fp(node.left, lo, hi, off)
-        if lo >= mid:
-            return self._fp(node.right, lo, hi, mid)
-        a = self._fp(node.left, lo, hi, off)
-        b = self._fp(node.right, lo, hi, mid)
         p = self.cfg.p
-        return Fingerprint((a.hash + a.pow * b.hash) % p, (a.pow * b.pow) % p,
-                           a.length + b.length)
+        h, pw = 0, 1
+        for node in self._cover(start, end):
+            h = (h + pw * node.hash) % p
+            pw = pw * node.pow % p
+        return Fingerprint(h, pw, end - start)
 
     def symbol_at(self, pos: int) -> int:
         if not 0 <= pos < self.length:
             raise ValueError(f"position {pos} outside content")
-        node = self.root
-        while node.sym is None:
-            self.ops += 1
-            if pos < node.left.length:
-                node = node.left
-            else:
-                pos -= node.left.length
-                node = node.right
-        self.ops += 1
-        return node.sym
+        return self._cover(pos, pos + 1)[0].sym
 
     def extract(self, start: int, end: int):
         """Lazily yield content[start:end], visiting O(log n) nodes per run."""

@@ -81,11 +81,12 @@ class _Carry:
     """
 
     __slots__ = ("g", "cfg", "occ_start", "occ_len", "_occ_fp",
-                 "_tail", "_th", "_tp", "_toff", "_tinv")
+                 "_tail", "_th", "_tp", "_toff", "_tinv", "_dinv")
 
     def __init__(self, cfg: HashConfig, g: AvlGrammar):
         self.cfg = cfg
         self.g = g
+        self._dinv = pow(cfg.delta, cfg.p - 2, cfg.p)
         self.rebase(0, 0, [])
 
     @property
@@ -121,7 +122,8 @@ class _Carry:
         self.occ_len = length
         self._occ_fp: Fingerprint | None = None
         # logical tail = _tail[_toff:]; _th/_tp are rolling prefix hashes of
-        # _tail from its absolute start, _tinv undoes the dropped prefix
+        # _tail from its absolute start, _tinv = delta^-_toff undoes the
+        # dropped prefix
         self._tail = block
         self._toff = 0
         self._tinv = 1
@@ -144,7 +146,7 @@ class _Carry:
             self._occ_fp = None
             return
         self._toff += k - self.occ_len
-        self._tinv = pow(self._tp[self._toff], self.cfg.p - 2, self.cfg.p)
+        self._tinv = pow(self._dinv, self._toff, self.cfg.p)
         self.occ_len = 0
         self._occ_fp = None
 

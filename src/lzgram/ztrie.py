@@ -175,7 +175,7 @@ class MarkedAncestorIndex:
 
 
 # ---------------------------------------------------------------------------
-# fingerprint LCP helpers
+# fingerprint LCP search and the grammar-interval probe
 
 def lcp_by_fingerprint(g: AvlGrammar, probe, start: int, max_len: int) -> int:
     """Longest common prefix of the probe's string and content[start:start+max_len).
@@ -194,25 +194,35 @@ def lcp_by_fingerprint(g: AvlGrammar, probe, start: int, max_len: int) -> int:
     return lo
 
 
-def interval_lcp(g: AvlGrammar, a: int, b: int, max_len: int) -> int:
-    """LCP of content[a:a+max_len) and content[b:b+max_len), w.h.p. exact."""
-    lo, hi = 0, max_len
-    if hi and g.substring_fp(a, a + hi) == g.substring_fp(b, b + hi):
-        return hi
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if g.substring_fp(a, a + mid) == g.substring_fp(b, b + mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+class _Interval:
+    """Probe over content[start:end) of the grammar.
+
+    It keeps the last symbol read: insert re-reads, as the new leaf's key,
+    the symbol that locate found no child for.
+    """
+
+    __slots__ = ("g", "start", "length", "_q", "_sym")
+
+    def __init__(self, g: AvlGrammar, start: int, end: int):
+        self.g = g
+        self.start = start
+        self.length = end - start
+        self._q = -1
+
+    def fp(self, q: int):
+        return self.g.substring_fp(self.start, self.start + q)
+
+    def symbol_at(self, q: int) -> int:
+        if q != self._q:
+            self._q, self._sym = q, self.g.symbol_at(self.start + q)
+        return self._sym
 
 
 # ---------------------------------------------------------------------------
 # the trie
 
 class _TrieNode:
-    __slots__ = ("parent", "depth", "ell", "children", "marked", "payload",
+    __slots__ = ("parent", "depth", "ell", "children", "payload",
                  "open_item", "close_item", "ma_marked")
 
     def __init__(self, parent, depth, ell):
@@ -220,7 +230,6 @@ class _TrieNode:
         self.depth = depth
         self.ell = ell
         self.children = {}
-        self.marked = False
         self.payload = None
         self.open_item = None
         self.close_item = None
@@ -263,54 +272,34 @@ class ZTrie:
         self._nodes += 1
         return node
 
-    def _mark(self, node: _TrieNode, payload) -> None:
-        node.marked = True
-        if node.payload is None:
-            node.payload = payload
-        self.ma.mark(node)
-
     # -- insertion ---------------------------------------------------------
 
     def insert(self, start: int, end: int, payload) -> _TrieNode:
         """Insert content[start:end) as a dictionary string; returns its node.
 
-        Existing strings are only marked.  Descent is fingerprint-driven,
-        O(t*log^2) for t edges touched.
+        Existing strings are only marked.  The string is found by `locate`;
+        at most one edge split and one new leaf follow.
         """
         if not 0 <= start < end <= self.g.length:
             raise ValueError(f"insert range [{start},{end}) outside content")
-        length = end - start
-        v = self.root
-        while True:
-            d = v.depth
-            if d == length:
-                self._mark(v, payload)
-                return v
-            self.ops += 1
-            c = v.children.get(self.g.symbol_at(start + d))
-            if c is None:
-                leaf = self._new_leaf(v, length, start)
-                v.children[self.g.symbol_at(start + d)] = leaf
-                self._register(leaf)
-                self._mark(leaf, payload)
-                return leaf
-            edge = c.depth - d
-            q = interval_lcp(self.g, start + d, c.ell + d, min(edge, length - d))
-            if q == edge:
-                v = c
-                continue
-            mid = self._split(v, c, d + q)
-            if d + q == length:
-                self._mark(mid, payload)
-                return mid
-            leaf = self._new_leaf(mid, length, start)
-            mid.children[self.g.symbol_at(start + d + q)] = leaf
+        probe = _Interval(self.g, start, end)
+        v, m = self.locate(probe)
+        if m < v.depth:
+            v = self._split(v, m)
+        if m < probe.length:
+            leaf = self._new_leaf(v, probe.length, start)
+            v.children[probe.symbol_at(m)] = leaf
             self._register(leaf)
-            self._mark(leaf, payload)
-            return leaf
+            v = leaf
+        if v.payload is None:
+            v.payload = payload
+        self.ma.mark(v)
+        return v
 
-    def _split(self, v: _TrieNode, c: _TrieNode, mid_depth: int) -> _TrieNode:
-        """Split edge (v, c) at depth mid_depth, returning the new middle node."""
+    def _split(self, c: _TrieNode, mid_depth: int) -> _TrieNode:
+        """Split the edge into c at depth mid_depth, returning the new middle
+        node."""
+        v = c.parent
         mid = _TrieNode(v, mid_depth, c.ell)
         mid.open_item = self.om.insert_after(c.open_item.prev)
         mid.close_item = self.om.insert_after(c.close_item)

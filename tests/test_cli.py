@@ -1,5 +1,7 @@
 """Command-line conformance: exit codes, formats, determinism, env override."""
 
+from pathlib import Path
+
 import pytest
 
 from lzgram import CSV_HEADER, Scheme
@@ -32,7 +34,7 @@ def test_pipeline_gen_parse_verify(tmp_path):
                  "--parsing", parsing]) == 0
     assert main(["verify", "--scheme", "lzd", "--in", text,
                  "--parsing", parsing, "--strict"]) == 0
-    register_parsing("cli-pipeline", load_parsing(open(parsing, "rb").read()))
+    register_parsing("cli-pipeline", load_parsing(Path(parsing).read_bytes()))
 
 
 def test_gen_rejects_bad_k(tmp_path, capsys):
@@ -122,7 +124,7 @@ def test_bench_and_fit(tmp_path, capsys):
     csv = str(tmp_path / "bench.csv")
     assert main(["bench", "--family", "lzd-slow", "--algo", "naive",
                  "--kmin", "8", "--kmax", "32", "--csv", csv]) == 0
-    lines = open(csv).read().splitlines()
+    lines = Path(csv).read_text().splitlines()
     assert lines[0] == CSV_HEADER and len(lines) == 4
     capsys.readouterr()
     assert main(["fit", "--csv", csv, "--y", "edges"]) == 0

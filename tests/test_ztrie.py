@@ -280,3 +280,42 @@ def test_locate_against_oracle():
                 assert w is None
             else:
                 assert w is not None and w.depth == best
+
+
+def test_trie_invariants_after_random_inserts():
+    rng = random.Random(1729)
+    for _ in range(40):
+        sigma = rng.choice([2, 3, 4])
+        n = rng.randrange(6, 120)
+        content = [rng.randrange(sigma) for _ in range(n)]
+        cfg = HashConfig.from_seed(rng.randrange(1 << 30))
+        intervals = []
+        for _ in range(rng.randrange(1, 40)):
+            start = rng.randrange(n)
+            end = rng.randrange(start + 1, min(n, start + 20) + 1)
+            intervals.append((start, end))
+        g, trie = build_trie(cfg, content, intervals)
+        want = {}
+        for idx, (a, b) in enumerate(intervals):
+            want.setdefault(tuple(content[a:b]), ("dict", idx))
+
+        def string(v):
+            return tuple(content[v.ell:v.ell + v.depth])
+
+        got = {}
+        stack = [trie.root]
+        while stack:
+            v = stack.pop()
+            if v.ma_marked:
+                got[string(v)] = v.payload
+            if v is not trie.root:
+                f = two_fattest(v.parent.depth, v.depth)
+                key = (f, g.substring_fp(v.ell, v.ell + f).hash)
+                assert trie.table[key] is v
+            for sym, c in v.children.items():
+                assert c.parent is v
+                assert c.depth > v.depth
+                assert content[c.ell + v.depth] == sym
+                assert string(c)[:v.depth] == string(v)
+                stack.append(c)
+        assert got == want
