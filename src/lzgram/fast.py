@@ -184,6 +184,9 @@ class _Engine:
         self.carry = _Carry(cfg, self.g)
         self.searches = 0
         self.parts = 0
+        # part start -> (node, lcp) of its search, for the last two parts:
+        # the phrase a later add() enters starts with one of them
+        self._loci: dict = {}
 
     def next_part(self, pos: int):
         """Cut the next greedy part; None once the input is exhausted.
@@ -195,30 +198,39 @@ class _Engine:
         carry = self.carry
         reader = self.reader
         trie = self.trie
-        while True:
-            if carry.length == 0 and not reader.has_more():
-                return None
-            v, m = trie.locate(carry)
+        if carry.length == 0 and not reader.has_more():
+            return None
+        v, m = trie.locate(carry)
+        self.searches += 1
+        while m == carry.length and reader.has_more():
+            # whole carry certified on a trie path: re-anchor it to that
+            # path's occurrence, read more and go on from the same point
+            carry.rebase(v.ell, m, reader.read_block())
+            v, m = trie.locate(carry, at=(v, m))
             self.searches += 1
-            if m == carry.length and reader.has_more():
-                # whole carry certified on a trie path: re-anchor it to that
-                # path's occurrence and read more
-                carry.rebase(v.ell, m, reader.read_block())
-                continue
-            w = trie.nearest_marked(v, m)
-            if w is None:
-                # only a fresh symbol has no marked prefix (w.h.p.); were a
-                # collision to hide a seen one, insert would just re-mark it
-                sym = carry.symbol_at(0)
-                self.g.append_literal(sym)
-                trie.insert(pos, pos + 1, Literal(sym))
-                part, plen = Literal(sym), 1
-            else:
-                part, plen = w.payload, w.depth
-                self.g.append_copy(w.ell, w.ell + plen)
-            carry.consume(plen)
-            self.parts += 1
-            return part, plen
+        loci = self._loci
+        loci[pos] = (v, m)
+        if len(loci) > 2:
+            del loci[min(loci)]
+        w = trie.nearest_marked(v, m)
+        if w is None:
+            # only a fresh symbol has no marked prefix (w.h.p.); were a
+            # collision to hide a seen one, insert would just re-mark it
+            sym = carry.symbol_at(0)
+            self.g.append_literal(sym)
+            trie.insert(pos, pos + 1, Literal(sym), at=(trie.root, 0))
+            part, plen = Literal(sym), 1
+        else:
+            part, plen = w.payload, w.depth
+            self.g.append_copy(w.ell, w.ell + plen)
+        carry.consume(plen)
+        self.parts += 1
+        return part, plen
+
+    def add(self, start: int, end: int, ref) -> None:
+        """Enter the phrase content[start:end) at the locus its first part's
+        search found; that string starts with the phrase."""
+        self.trie.insert(start, end, ref, at=self._loci[start])
 
     def stats(self) -> FastStats:
         return FastStats(
@@ -241,7 +253,7 @@ def parse_fast(text, scheme: Scheme, cfg: HashConfig | None = None,
     if cfg is None:
         cfg = HashConfig.from_seed(seed)
     eng = _Engine(BlockReader(getattr(text, "symbols", text)), cfg)
-    parsing = greedy_parse(scheme, eng.next_part, eng.trie.insert)
+    parsing = greedy_parse(scheme, eng.next_part, eng.add)
     return FastResult(parsing, eng.stats())
 
 

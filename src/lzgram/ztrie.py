@@ -177,13 +177,15 @@ class MarkedAncestorIndex:
 # ---------------------------------------------------------------------------
 # fingerprint LCP search and the grammar-interval probe
 
-def lcp_by_fingerprint(g: AvlGrammar, probe, start: int, max_len: int) -> int:
+def lcp_by_fingerprint(g: AvlGrammar, probe, start: int, max_len: int,
+                       lo: int = 0) -> int:
     """Longest common prefix of the probe's string and content[start:start+max_len).
 
     Binary search over prefix lengths comparing fingerprints; exact w.h.p.
+    lo is a known lower bound on the answer: lengths up to it are not probed.
     """
-    lo, hi = 0, min(probe.length, max_len)
-    if hi and probe.fp(hi) == g.substring_fp(start, start + hi):
+    hi = min(probe.length, max_len)
+    if hi > lo and probe.fp(hi) == g.substring_fp(start, start + hi):
         return hi
     while lo < hi:
         mid = (lo + hi + 1) // 2
@@ -274,16 +276,29 @@ class ZTrie:
 
     # -- insertion ---------------------------------------------------------
 
-    def insert(self, start: int, end: int, payload) -> _TrieNode:
+    def insert(self, start: int, end: int, payload, at=None) -> _TrieNode:
         """Insert content[start:end) as a dictionary string; returns its node.
 
-        Existing strings are only marked.  The string is found by `locate`;
-        at most one edge split and one new leaf follow.
+        Existing strings are only marked.  The string is found by `locate`,
+        or from `at`: the (node, lcp) that `locate` returned, possibly before
+        other inserts, for a string that starts with this one.  At most one
+        edge split and one new leaf follow.
         """
         if not 0 <= start < end <= self.g.length:
             raise ValueError(f"insert range [{start},{end}) outside content")
         probe = _Interval(self.g, start, end)
-        v, m = self.locate(probe)
+        if at is None:
+            v, m = self.locate(probe)
+        else:
+            v, m = at
+            m = min(m, probe.length)
+            # edges may have been split since that search
+            while v.parent is not None and v.parent.depth >= m:
+                v = v.parent
+            # a mismatch inside an edge is permanent: only at a node can a
+            # string inserted since continue the path
+            if m == v.depth < probe.length:
+                v, m = self.locate(probe, at=(v, m))
         if m < v.depth:
             v = self._split(v, m)
         if m < probe.length:
@@ -339,25 +354,34 @@ class ZTrie:
                 a = u.depth
         return v
 
-    def locate(self, probe):
+    def locate(self, probe, at=None):
         """Validated search: (node, lcp) where lcp is the length of the longest
         prefix of the probe present in the trie and node is the explicit node
         at or immediately below that point (root for lcp 0).
+
+        With at=(v, m), the probe is known to match the trie up to the point
+        at depth m on v's edge (m in (v.parent.depth, v.depth], or (root, 0)),
+        and the search extends from there instead of starting at the root.
 
         Always terminates and always returns m in (node.parent.depth,
         node.depth], even if earlier collisions corrupted the topology; the
         answer itself is only w.h.p. correct.
         """
-        v = self.prefix_search(probe)
-        # climb until the probe demonstrably reaches v's edge
-        while True:
-            if v.parent is None:
-                m = 0
-                break
-            m = lcp_by_fingerprint(self.g, probe, v.ell, v.depth)
-            if m > v.parent.depth:
-                break
-            v = v.parent
+        if at is None:
+            v = self.prefix_search(probe)
+            # climb until the probe demonstrably reaches v's edge
+            while True:
+                if v.parent is None:
+                    m = 0
+                    break
+                m = lcp_by_fingerprint(self.g, probe, v.ell, v.depth)
+                if m > v.parent.depth:
+                    break
+                v = v.parent
+        else:
+            # finish v's edge from the known point
+            v, m = at
+            m = lcp_by_fingerprint(self.g, probe, v.ell, v.depth, m)
         # then extend downward by validated child steps only
         while m == v.depth and m < probe.length:
             c = v.children.get(probe.symbol_at(m))

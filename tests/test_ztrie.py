@@ -5,7 +5,8 @@ import random
 import pytest
 
 from lzgram import AvlGrammar, HashConfig, fp_concat, fp_empty, fp_symbol
-from lzgram.ztrie import MarkedAncestorIndex, OrderList, ZTrie, two_fattest
+from lzgram.ztrie import (MarkedAncestorIndex, OrderList, ZTrie, _Interval,
+                          lcp_by_fingerprint, two_fattest)
 
 
 class ListProbe:
@@ -319,3 +320,111 @@ def test_trie_invariants_after_random_inserts():
                 assert string(c)[:v.depth] == string(v)
                 stack.append(c)
         assert got == want
+
+
+def test_lcp_lower_bound_matches_oracle():
+    rng = random.Random(4142)
+    for _ in range(60):
+        sigma = rng.choice([2, 3, 5])
+        n = rng.randrange(4, 120)
+        content = [rng.randrange(sigma) for _ in range(n)]
+        cfg = HashConfig.from_seed(rng.randrange(1 << 30))
+        g = AvlGrammar(cfg)
+        for s in content:
+            g.append_literal(s)
+        for _ in range(20):
+            start = rng.randrange(n)
+            max_len = rng.randrange(n - start + 1)
+            if rng.random() < 0.5:
+                # a grammar interval, usually sharing a prefix with the target
+                a = rng.choice([start, rng.randrange(n)])
+                probe = _Interval(g, a, rng.randrange(a + 1, n + 1))
+                syms = content[probe.start:probe.start + probe.length]
+            else:
+                syms = content[start:start + rng.randrange(n - start + 1)]
+                if syms and rng.random() < 0.7:
+                    syms[rng.randrange(len(syms))] = rng.randrange(sigma)
+                syms += [rng.randrange(sigma) for _ in range(rng.randrange(4))]
+                probe = ListProbe(cfg, syms)
+            want = lcp_len(syms[:max_len], content[start:start + max_len])
+            assert lcp_by_fingerprint(g, probe, start, max_len) == want
+            for lo in range(want + 1):
+                assert lcp_by_fingerprint(g, probe, start, max_len, lo) == want
+
+
+def _trie_shape(trie):
+    """Every node's (depth, ell, child keys, marked payload), in a walk that
+    visits children by key, and the table with nodes named by walk index."""
+    index, shape = {}, []
+    stack = [trie.root]
+    while stack:
+        v = stack.pop()
+        index[id(v)] = len(shape)
+        keys = sorted(v.children)
+        shape.append((v.depth, v.ell, tuple(keys),
+                      v.payload if v.ma_marked else None))
+        stack.extend(v.children[k] for k in reversed(keys))
+    table = {key: index[id(v)] for key, v in trie.table.items()}
+    return shape, table
+
+
+def test_insert_at_locus_matches_plain_insert():
+    # the engine's pattern: a long probe at `start` is located, other strings
+    # are inserted, then content[start:end) is inserted at the old locus
+    rng = random.Random(8128)
+    for _ in range(60):
+        sigma = rng.choice([2, 3, 4])
+        n = rng.randrange(10, 150)
+        content = [rng.randrange(sigma) for _ in range(n)]
+        cfg = HashConfig.from_seed(rng.randrange(1 << 30))
+        g = AvlGrammar(cfg)
+        for s in content:
+            g.append_literal(s)
+        at_locus, plain = ZTrie(g), ZTrie(g)
+
+        def both(start, end, payload, at=None):
+            at_locus.insert(start, end, payload, at=at)
+            plain.insert(start, end, payload)
+
+        for idx in range(rng.randrange(15)):
+            start = rng.randrange(n)
+            both(start, rng.randrange(start + 1, min(n, start + 12) + 1), ("pre", idx))
+        for idx in range(rng.randrange(1, 25)):
+            start = rng.randrange(n)
+            if rng.random() < 0.2:
+                both(start, start + 1, ("lit", idx), at=(at_locus.root, 0))
+                continue
+            probe_end = rng.randrange(start + 1, n + 1)
+            locus = at_locus.locate(ListProbe(cfg, content[start:probe_end]))
+            for j in range(rng.randrange(4)):
+                # strings that share a prefix with the probe split its path
+                # or extend it
+                a = rng.choice([start, start, rng.randrange(n)])
+                both(a, rng.randrange(a + 1, min(n, a + 16) + 1), ("mid", idx, j))
+            end = rng.randrange(start + 1, probe_end + 1)
+            both(start, end, ("phrase", idx), at=locus)
+        assert _trie_shape(at_locus) == _trie_shape(plain)
+
+
+def test_locate_resumes_from_a_certified_prefix():
+    # the engine's resume: once a probe's whole prefix is certified at (v, m),
+    # locating the longer probe from there gives the answer from the root
+    rng = random.Random(9973)
+    for _ in range(40):
+        sigma = rng.choice([2, 3])
+        n = rng.randrange(10, 100)
+        content = [rng.randrange(sigma) for _ in range(n)]
+        cfg = HashConfig.from_seed(rng.randrange(1 << 30))
+        intervals = []
+        for _ in range(rng.randrange(1, 25)):
+            start = rng.randrange(n)
+            intervals.append((start, rng.randrange(start + 1, min(n, start + 16) + 1)))
+        _, trie = build_trie(cfg, content, intervals)
+        for _ in range(30):
+            a, b = rng.choice(intervals)
+            q = content[a:b] + [rng.randrange(sigma) for _ in range(rng.randrange(6))]
+            cut = rng.randrange(len(q) + 1)
+            v, m = trie.locate(ListProbe(cfg, q[:cut]))
+            if m == cut:
+                probe = ListProbe(cfg, q)
+                assert trie.locate(probe, at=(v, m)) == trie.locate(probe)
