@@ -114,22 +114,130 @@ class AvlGrammar:
                 stack.append((node.left, off))
         return out
 
+    def _part(self, start: int, end: int):
+        """(node, off): the topmost node whose children part content[start:end)
+        (0 < end - start), or the node that is exactly that range; off is
+        where the node's expansion starts."""
+        node, off, ops = self.root, 0, 1
+        while start > off or off + node.length > end:
+            mid = off + node.left.length
+            if end <= mid:
+                node = node.left
+            elif start >= mid:
+                node, off = node.right, mid
+            else:
+                break
+            ops += 1
+        self.ops += ops
+        return node, off
+
+    def _suffix_fp(self, node: _Node, off: int, start: int):
+        """(hash, pow) of content[start:off + node.length), node starting at
+        off <= start: the left boundary path, whole right siblings prepended."""
+        p = self.cfg.p
+        h, pw, ops = 0, 1, 1
+        while start > off:
+            mid = off + node.left.length
+            if start < mid:
+                right = node.right
+                h = (right.hash + right.pow * h) % p
+                pw = pw * right.pow % p
+                node = node.left
+                ops += 2
+            else:
+                node, off = node.right, mid
+                ops += 1
+        self.ops += ops
+        return (node.hash + node.pow * h) % p, pw * node.pow % p
+
     def substring_fp(self, start: int, end: int) -> Fingerprint:
+        """Fingerprint of content[start:end) in one walk: down to the node
+        where start and end part, then along both boundary paths."""
         if not 0 <= start <= end <= self.length:
             raise ValueError(f"range [{start},{end}) outside content")
         if start == end:
             return fp_empty()
+        node, off = self._part(start, end)
+        if end - start == node.length:
+            return Fingerprint(node.hash, node.pow, node.length)
         p = self.cfg.p
-        h, pw = 0, 1
-        for node in self._cover(start, end):
-            h = (h + pw * node.hash) % p
-            pw = pw * node.pow % p
-        return Fingerprint(h, pw, end - start)
+        h, pw = self._suffix_fp(node.left, off, start)
+        # the right boundary path, whole left siblings appended
+        off += node.left.length
+        node, ops = node.right, 1
+        while off + node.length > end:
+            left = node.left
+            mid = off + left.length
+            if mid < end:
+                h = (h + pw * left.hash) % p
+                pw = pw * left.pow % p
+                node, off = node.right, mid
+                ops += 2
+            else:
+                node = left
+                ops += 1
+        self.ops += ops
+        return Fingerprint((h + pw * node.hash) % p, pw * node.pow % p, end - start)
 
     def symbol_at(self, pos: int) -> int:
         if not 0 <= pos < self.length:
             raise ValueError(f"position {pos} outside content")
-        return self._cover(pos, pos + 1)[0].sym
+        node, ops = self.root, 1
+        while node.sym is None:
+            left = node.left
+            if pos < left.length:
+                node = left
+            else:
+                pos -= left.length
+                node = node.right
+            ops += 1
+        self.ops += ops
+        return node.sym
+
+    def common_prefix(self, probe, start: int, end: int, lo: int = 0) -> int:
+        """Longest common prefix of the probe's string and content[start:end),
+        for a range whose fingerprint differs from the probe's of the same
+        length, the first lo symbols known to match (lo < end - start).
+
+        One descent from the known prefix on, exact w.h.p.: at each node whose
+        children part the unmatched rest of the range, the probe's
+        fingerprint up to the middle decides which child holds the first
+        mismatch.  The test compares it with the running hash up to the node's
+        start plus the left child's hash; for a node that starts inside the
+        known prefix, with the hash of content[start:node end) minus the
+        whole right child instead.
+        """
+        p = self.cfg.p
+        h, pw, _ = probe.fp(lo)
+        a = start + lo
+        node, off = self._part(a, end)
+        gh, _ = self._suffix_fp(node, off, a)
+        gh = (h + pw * gh) % p
+        ops = 0
+        while node.sym is None:
+            left = node.left
+            mid = off + left.length
+            ops += 1
+            if a >= mid:
+                node, off = node.right, mid
+                continue
+            if mid >= end:
+                node = left
+                continue
+            ph, ppow, _ = probe.fp(mid - start)
+            ops += 1
+            if off < a:
+                gh = (gh - ppow * node.right.hash) % p
+                same = ph == gh
+            else:
+                same = ph == (h + pw * left.hash) % p
+            if same:
+                h, pw = ph, ppow
+                node, off = node.right, mid
+            else:
+                node = left
+        self.ops += ops
+        return off - start
 
     def extract(self, start: int, end: int):
         """Lazily yield content[start:end], visiting O(log n) nodes per run."""

@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import accumulate, islice
+from operator import mul
 
 from .avlgrammar import AvlGrammar
 from .hashing import MERSENNE61, Fingerprint, HashConfig, fp_concat
@@ -81,12 +82,13 @@ class _Carry:
     """
 
     __slots__ = ("g", "cfg", "occ_start", "occ_len", "_occ_fp",
-                 "_tail", "_th", "_tp", "_toff", "_tinv", "_dinv")
+                 "_tail", "_th", "_dpow", "_toff", "_tinv", "_dinv")
 
     def __init__(self, cfg: HashConfig, g: AvlGrammar):
         self.cfg = cfg
         self.g = g
         self._dinv = pow(cfg.delta, cfg.p - 2, cfg.p)
+        self._dpow = [1]  # delta^i, grown to the longest block seen
         self.rebase(0, 0, [])
 
     @property
@@ -97,7 +99,7 @@ class _Carry:
         p = self.cfg.p
         a = self._toff
         return Fingerprint((self._th[a + t] - self._th[a]) * self._tinv % p,
-                           self._tp[a + t] * self._tinv % p, t)
+                           self._dpow[t], t)
 
     def fp(self, q: int) -> Fingerprint:
         if q <= self.occ_len:
@@ -121,22 +123,18 @@ class _Carry:
         self.occ_start = start
         self.occ_len = length
         self._occ_fp: Fingerprint | None = None
-        # logical tail = _tail[_toff:]; _th/_tp are rolling prefix hashes of
-        # _tail from its absolute start, _tinv = delta^-_toff undoes the
-        # dropped prefix
+        # logical tail = _tail[_toff:]; _th holds rolling prefix hashes of
+        # _tail from its absolute start, left unreduced mod p until read;
+        # _tinv = delta^-_toff undoes the dropped prefix
         self._tail = block
         self._toff = 0
         self._tinv = 1
         p = self.cfg.p
-        delta = self.cfg.delta
-        th = self._th = [0]
-        tp = self._tp = [1]
-        h, pw = 0, 1
-        for s in block:
-            h = (h + pw * s) % p
-            pw = pw * delta % p
-            th.append(h)
-            tp.append(pw)
+        dpow = self._dpow
+        while len(dpow) <= len(block):
+            dpow.append(dpow[-1] * self.cfg.delta % p)
+        self._th = [0]
+        self._th += accumulate(map(mul, block, dpow))
 
     def consume(self, k: int) -> None:
         """Drop the first k symbols (they were just parsed and appended)."""

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 MERSENNE61 = (1 << 61) - 1
 
@@ -27,8 +28,7 @@ class HashConfig:
         return HashConfig(p=p, delta=delta)
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(NamedTuple):
     """(hash, delta^len mod p, len) of a symbol sequence."""
 
     hash: int

@@ -181,19 +181,16 @@ def lcp_by_fingerprint(g: AvlGrammar, probe, start: int, max_len: int,
                        lo: int = 0) -> int:
     """Longest common prefix of the probe's string and content[start:start+max_len).
 
-    Binary search over prefix lengths comparing fingerprints; exact w.h.p.
-    lo is a known lower bound on the answer: lengths up to it are not probed.
+    One full-length fingerprint comparison, then one grammar descent
+    (`AvlGrammar.common_prefix`); exact w.h.p.  lo is a known lower bound on
+    the answer: lengths up to it are not compared.
     """
     hi = min(probe.length, max_len)
-    if hi > lo and probe.fp(hi) == g.substring_fp(start, start + hi):
+    if hi <= lo:
+        return lo
+    if probe.fp(hi) == g.substring_fp(start, start + hi):
         return hi
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if probe.fp(mid) == g.substring_fp(start, start + mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    return g.common_prefix(probe, start, start + hi, lo)
 
 
 class _Interval:
@@ -319,7 +316,11 @@ class ZTrie:
         mid.open_item = self.om.insert_after(c.open_item.prev)
         mid.close_item = self.om.insert_after(c.close_item)
         self._nodes += 1
-        v.children[self.g.symbol_at(c.ell + v.depth)] = mid
+        # c's entry in v.children, found by identity, not by a grammar query
+        for key, child in v.children.items():
+            if child is c:
+                break
+        v.children[key] = mid
         mid.children[self.g.symbol_at(c.ell + mid_depth)] = c
         c.parent = mid
         # migrate c's search key: its depth span shrank from (v.depth, c.depth]

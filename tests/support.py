@@ -7,6 +7,8 @@ from __future__ import annotations
 import random
 
 from lzgram import (
+    AvlGrammar,
+    HashConfig,
     Literal,
     LzdPhrase,
     PairIndex,
@@ -62,3 +64,25 @@ def register_parsing(origin: str, parsing: Parsing) -> Parsing:
             f"duplicate LZMW pair string ({origin})"
     PARSING_LOG.append((origin, parsing.scheme.value, len(parsing)))
     return parsing
+
+
+def build_by_copies(rng, length, sigma=3):
+    """Mostly interval copies, a literal now and then: a deep, shared DAG.
+    Returns the grammar, its shadow list and the (src, dst, length) copies."""
+    cfg = HashConfig.from_seed(rng.randrange(1 << 30))
+    g = AvlGrammar(cfg)
+    model: list[int] = []
+    copies = []
+    while len(model) < length:
+        if len(model) < 2 or rng.random() < 0.1:
+            sym = rng.randrange(sigma)
+            g.append_literal(sym)
+            model.append(sym)
+            continue
+        start = rng.randrange(len(model))
+        end = rng.randrange(start + 1, len(model) + 1)
+        end = min(end, start + length - len(model))
+        copies.append((start, len(model), end - start))
+        g.append_copy(start, end)
+        model.extend(model[start:end])
+    return cfg, g, model, copies

@@ -7,6 +7,8 @@ import pytest
 
 from lzgram import AvlGrammar, HashConfig, fp_of
 
+from support import build_by_copies
+
 
 def build_random(rng, steps, sigma=4, copy_cap=400, length_cap=6000):
     cfg = HashConfig.from_seed(rng.randrange(1 << 30))
@@ -108,3 +110,35 @@ def test_ops_counter_monotone():
     g.append_copy(3, 17)
     g.substring_fp(2, 30)
     assert g.ops > before
+
+
+def cover_visits(g, start, end):
+    before = g.ops
+    g._cover(start, end)
+    return g.ops - before
+
+
+def test_one_walk_queries_on_copy_built_grammars():
+    # ops counts node visits: one query visits exactly the nodes that the
+    # range's tiling walk (_cover) visits
+    rng = random.Random(31337)
+    for length in (1, 2, 3, 40, 90, 150):
+        cfg, g, model, _ = build_by_copies(rng, length)
+        g.validate()
+        for a in range(len(model)):
+            before = g.ops
+            assert g.symbol_at(a) == model[a]
+            assert g.ops - before == cover_visits(g, a, a + 1)
+            for b in range(a + 1, len(model) + 1):
+                before = g.ops
+                assert g.substring_fp(a, b) == fp_of(cfg, model[a:b])
+                assert g.ops - before == cover_visits(g, a, b)
+    cfg, g, model, _ = build_by_copies(rng, 20000)
+    assert g.root.height >= 12
+    for _ in range(400):
+        a = rng.randrange(len(model))
+        b = rng.randrange(a + 1, len(model) + 1)
+        before = g.ops
+        assert g.substring_fp(a, b) == fp_of(cfg, model[a:b])
+        assert g.ops - before == cover_visits(g, a, b)
+        assert g.symbol_at(a) == model[a]

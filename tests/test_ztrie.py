@@ -8,6 +8,8 @@ from lzgram import AvlGrammar, HashConfig, fp_concat, fp_empty, fp_symbol
 from lzgram.ztrie import (MarkedAncestorIndex, OrderList, ZTrie, _Interval,
                           lcp_by_fingerprint, two_fattest)
 
+from support import build_by_copies
+
 
 class ListProbe:
     """Probe over an explicit symbol list with O(1) prefix fingerprints."""
@@ -348,6 +350,33 @@ def test_lcp_lower_bound_matches_oracle():
                 probe = ListProbe(cfg, syms)
             want = lcp_len(syms[:max_len], content[start:start + max_len])
             assert lcp_by_fingerprint(g, probe, start, max_len) == want
+            for lo in range(want + 1):
+                assert lcp_by_fingerprint(g, probe, start, max_len, lo) == want
+
+
+def test_lcp_descent_on_copy_built_grammars():
+    # a copy and its source are equal ranges built from large shared nodes,
+    # so the first mismatch after them, or one planted inside them, lies deep
+    # inside such a node
+    rng = random.Random(2357)
+    sigma = 3
+    for _ in range(5):
+        cfg, g, content, copies = build_by_copies(rng, 2500, sigma)
+        n = len(content)
+        long = [c for c in copies if 32 <= c[2] <= 400] or copies
+        for _ in range(8):
+            src, dst, length = rng.choice(long)
+            start, other = rng.choice([(src, dst), (dst, src)])
+            end = min(n, other + length + rng.randrange(1, 30))
+            syms = content[other:end]
+            if rng.random() < 0.5:
+                probe = _Interval(g, other, end)
+            else:
+                j = rng.randrange(length // 2, len(syms))
+                syms[j] = (syms[j] + rng.randrange(1, sigma)) % sigma
+                probe = ListProbe(cfg, syms)
+            max_len = rng.choice([n - start, rng.randrange(n - start + 1)])
+            want = lcp_len(syms[:max_len], content[start:start + max_len])
             for lo in range(want + 1):
                 assert lcp_by_fingerprint(g, probe, start, max_len, lo) == want
 
