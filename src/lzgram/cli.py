@@ -67,6 +67,8 @@ def cmd_gen(args) -> int:
         write_text_file(args.out, text, format=args.format)
     except OSError as e:
         raise CliError(f"cannot write {args.out}: {e}", _RUN_ERROR) from None
+    except FormatError as e:
+        raise CliError(f"cannot write {args.out}: {e}", _USAGE_ERROR) from None
     return 0
 
 

@@ -51,7 +51,7 @@ def load_text(data: bytes) -> Text:
         raise FormatError("missing alphabet bound after #sigma")
     try:
         bound = int(tokens[1])
-        syms = tuple(int(tok) for tok in tokens[2:])
+        syms = tuple(map(int, tokens[2:]))
     except ValueError as e:
         raise FormatError(f"bad integer token: {e}") from None
     try:

@@ -250,48 +250,71 @@ def greedy_parse(scheme: Scheme, next_part, add) -> Parsing:
 # Expansion of parsings.
 
 
-def _fold_phrases(parsing: Parsing, leaf) -> list:
-    """Value of every phrase, in order: leaf(symbol) for a literal, `+` of
-    the values for a reference.  Raises GrammarError on bad refs."""
-    out: list = []
-    if parsing.scheme is Scheme.LZD:
-        def part_value(i: int, part):
-            if isinstance(part, Literal):
-                return leaf(part.symbol)
-            if isinstance(part, PhraseIndex):
-                if not (1 <= part.index < i):
-                    raise GrammarError(f"phrase {i}: bad phrase reference {part.index}")
-                return out[part.index - 1]
-            raise GrammarError(f"phrase {i}: bad part {part!r}")
+def _phrase_parts(parsing: Parsing):
+    """The parts of every phrase, in order, as pairs (first, second).
 
-        for i, ph in enumerate(parsing.phrases, start=1):
+    A part is a Literal or the 1-based number of an earlier phrase; second
+    is None for a one-part phrase.  An LZMW pair reference p_j p_(j+1) is
+    the parts (j, j + 1).  Raises GrammarError on bad refs.
+    """
+    phrases = parsing.phrases
+    if parsing.scheme is Scheme.LZD:
+        def earlier(i: int, part) -> int:
+            if not isinstance(part, PhraseIndex):
+                raise GrammarError(f"phrase {i}: bad part {part!r}")
+            if not (1 <= part.index < i):
+                raise GrammarError(f"phrase {i}: bad phrase reference {part.index}")
+            return part.index
+
+        for i, ph in enumerate(phrases, start=1):
             if not isinstance(ph, LzdPhrase):
                 raise GrammarError(f"phrase {i}: not an LZD phrase")
-            if ph.second is None:
-                if i != len(parsing.phrases):
-                    raise GrammarError(f"phrase {i}: one-part phrase before the end")
-                out.append(part_value(i, ph.first))
-            else:
-                out.append(part_value(i, ph.first) + part_value(i, ph.second))
+            first, second = ph.first, ph.second
+            if second is None and i != len(phrases):
+                raise GrammarError(f"phrase {i}: one-part phrase before the end")
+            if not isinstance(first, Literal):
+                first = earlier(i, first)
+            if second is not None and not isinstance(second, Literal):
+                second = earlier(i, second)
+            yield first, second
     elif parsing.scheme is Scheme.LZMW:
-        for i, ph in enumerate(parsing.phrases, start=1):
+        for i, ph in enumerate(phrases, start=1):
             if isinstance(ph, Literal):
-                out.append(leaf(ph.symbol))
-            elif isinstance(ph, PairIndex):
-                j = ph.index
-                if not (1 <= j <= i - 2):
-                    raise GrammarError(f"phrase {i}: bad pair reference {j}")
-                out.append(out[j - 1] + out[j])
-            else:
+                yield ph, None
+            elif not isinstance(ph, PairIndex):
                 raise GrammarError(f"phrase {i}: bad phrase {ph!r}")
+            elif not (1 <= ph.index <= i - 2):
+                raise GrammarError(f"phrase {i}: bad pair reference {ph.index}")
+            else:
+                yield ph.index, ph.index + 1
     else:
         raise GrammarError("unknown scheme")
+
+
+def _fold_phrases(parts, leaf) -> list:
+    """Value of every phrase from its parts (see _phrase_parts), in order:
+    leaf(symbol) for a literal, `+` of the values for a reference."""
+    out: list = []
+    for first, second in parts:
+        value = leaf(first.symbol) if isinstance(first, Literal) else out[first - 1]
+        if second is not None:
+            value = value + (leaf(second.symbol) if isinstance(second, Literal)
+                             else out[second - 1])
+        out.append(value)
     return out
+
+
+def _length(symbol: int) -> int:
+    return 1
+
+
+def _expansion(symbol: int) -> tuple:
+    return (symbol,)
 
 
 def phrase_expansions(parsing: Parsing) -> list[tuple]:
     """Expanded string of every phrase, in order. Raises GrammarError on bad refs."""
-    return _fold_phrases(parsing, lambda s: (s,))
+    return _fold_phrases(_phrase_parts(parsing), _expansion)
 
 
 def phrase_lengths(parsing: Parsing) -> list[int]:
@@ -300,7 +323,7 @@ def phrase_lengths(parsing: Parsing) -> list[int]:
     A malformed parsing can describe expansions exponentially longer than any
     source text; verifiers must reject on lengths before expanding.
     """
-    return _fold_phrases(parsing, lambda s: 1)
+    return _fold_phrases(_phrase_parts(parsing), _length)
 
 
 def expand_parsing(parsing: Parsing) -> tuple:
@@ -311,40 +334,29 @@ def verify_parsing(text: Text, parsing: Parsing, strict: bool = False) -> bool:
     """True iff the parsing expands to the text.
 
     In strict mode each phrase must also equal the greedy choice; since both
-    schemes are deterministic this is checked against the reference parse,
-    comparing expansions phrase by phrase (representations may differ only in
-    which of at most two adjacent equal pair strings an LZMW phrase cites).
+    schemes are deterministic this is checked against the reference parse.
+    An LZD parsing must equal it: a one-symbol part is always a Literal, and
+    a longer part can cite only the one non-final phrase that spells it.  An
+    LZMW phrase may cite either of two adjacent equal pair strings, so there
+    expansions are compared phrase by phrase.
     """
+    if parsing.source_length != len(text):
+        return False
     try:
-        if sum(phrase_lengths(parsing)) != len(text):
-            return False
-        if expand_parsing(parsing) != text.symbols:
-            return False
+        parts = list(_phrase_parts(parsing))
     except GrammarError:
         return False
+    if sum(_fold_phrases(parts, _length)) != len(text):
+        return False
+    exps = _fold_phrases(parts, _expansion)
+    if tuple(chain.from_iterable(exps)) != text.symbols:
+        return False
     if strict:
-        exps = phrase_expansions(parsing)
         ref = parse_reference(text, parsing.scheme)
-        ref_exps = phrase_expansions(ref)
-        if len(ref_exps) != len(exps) or ref_exps != exps:
-            return False
         if parsing.scheme is Scheme.LZD:
-            # part boundaries must match the greedy ones too
-            for mine, theirs in zip(parsing.phrases, ref.phrases):
-                if _lzd_part_lengths(mine, exps) != _lzd_part_lengths(theirs, ref_exps):
-                    return False
+            return parsing.phrases == ref.phrases
+        return exps == phrase_expansions(ref)
     return True
-
-
-def _lzd_part_lengths(ph: LzdPhrase, exps: list[tuple]) -> tuple:
-    def plen(part: LzdPart) -> int:
-        if isinstance(part, Literal):
-            return 1
-        return len(exps[part.index - 1])
-
-    if ph.second is None:
-        return (plen(ph.first),)
-    return (plen(ph.first), plen(ph.second))
 
 
 # ---------------------------------------------------------------------------
@@ -445,21 +457,12 @@ def expand_grammar(g: Grammar) -> tuple:
 
 def parsing_to_grammar(parsing: Parsing) -> Grammar:
     """One production per phrase plus a start rule listing all phrases."""
-    phrase_lengths(parsing)  # validates references without expanding
     prods: dict[int, tuple] = {}
-    if parsing.scheme is Scheme.LZD:
-        for i, ph in enumerate(parsing.phrases, start=1):
-            parts = (ph.first,) if ph.second is None else (ph.first, ph.second)
-            rhs = tuple(
-                Term(p.symbol) if isinstance(p, Literal) else Ref(p.index) for p in parts
-            )
-            prods[i] = rhs
-    else:
-        for i, ph in enumerate(parsing.phrases, start=1):
-            if isinstance(ph, Literal):
-                prods[i] = (Term(ph.symbol),)
-            else:
-                prods[i] = (Ref(ph.index), Ref(ph.index + 1))
-    z = len(parsing.phrases)
+    for i, (first, second) in enumerate(_phrase_parts(parsing), start=1):
+        rhs = (Term(first.symbol) if isinstance(first, Literal) else Ref(first),)
+        if second is not None:
+            rhs += (Term(second.symbol) if isinstance(second, Literal) else Ref(second),)
+        prods[i] = rhs
+    z = len(prods)
     prods[z + 1] = tuple(Ref(i) for i in range(1, z + 1))
     return Grammar(prods, z + 1)

@@ -75,34 +75,43 @@ class CompactedTrie:
         self.root = _Node(0, 0, 0, None)
         self.stats = stats if stats is not None else StepStats()
 
-    def longest_marked(self, pos: int):
-        """Longest marked prefix of syms[pos:]; returns (payload, length)."""
+    def _descend(self, cur: int, stop: int):
+        """Charged walk from the root along syms[cur:stop).
+
+        Returns (node, cur, child, l, marked): the walk ends below `node`
+        with syms[cur:] unread, `l` symbols into the edge to `child` (None
+        when no edge matched), and `marked` is the deepest marked node it
+        passed, or None.
+        """
         syms = self.syms
-        n = len(syms)
         stats = self.stats
         node = self.root
-        best_payload, best_len = None, 0
-        cur = pos
+        marked = None
         while True:
             if node.mark is not None:
-                best_payload, best_len = node.mark, node.depth
-            if cur >= n:
-                break
+                marked = node
+            if cur >= stop:
+                return node, cur, None, 0, marked
             child = node.children.get(syms[cur])
             if child is None:
                 stats.symbol_comparisons += 1
-                break
-            ext = min(child.length, n - cur)
-            l = _lcp(syms, cur, child.start, ext)
+                return node, cur, None, 0, marked
+            l = _lcp(syms, cur, child.start, min(child.length, stop - cur))
             stats.symbol_comparisons += l
             stats.edges_traversed += l
             if l < child.length:
-                if cur + l < n:
+                if cur + l < stop:
                     stats.symbol_comparisons += 1
-                break
+                return node, cur, child, l, marked
             node = child
             cur += l
-        return best_payload, best_len
+
+    def longest_marked(self, pos: int):
+        """Longest marked prefix of syms[pos:]; returns (payload, length)."""
+        marked = self._descend(pos, len(self.syms))[4]
+        if marked is None:
+            return None, 0
+        return marked.mark, marked.depth
 
     def insert_letter(self, pos: int, payload) -> None:
         # A fresh letter has no trie entry starting with it yet, so this is
@@ -114,40 +123,16 @@ class CompactedTrie:
 
     def insert(self, start: int, end: int, payload) -> None:
         """Insert syms[start:end] as a marked string (first mark wins)."""
-        syms = self.syms
-        stats = self.stats
-        node = self.root
-        cur = start
-        while True:
-            if cur == end:
-                if node.mark is None:
-                    node.mark = payload
-                return
-            child = node.children.get(syms[cur])
-            if child is None:
-                stats.symbol_comparisons += 1
-                node.children[syms[cur]] = _Node(
-                    cur, end - cur, node.depth + (end - cur), payload)
-                stats.nodes_created += 1
-                return
-            ext = min(child.length, end - cur)
-            l = _lcp(syms, cur, child.start, ext)
-            stats.symbol_comparisons += l
-            stats.edges_traversed += l
-            if l == child.length:
-                node = child
-                cur += l
-                continue
-            mid = self._split(node, child, l)
-            if cur + l == end:
-                mid.mark = payload
-                return
-            stats.symbol_comparisons += 1
-            leaf = _Node(cur + l, end - (cur + l), mid.depth + (end - (cur + l)),
-                         payload)
-            mid.children[syms[cur + l]] = leaf
-            stats.nodes_created += 1
-            return
+        node, cur, child, l, _ = self._descend(start, end)
+        if child is not None:
+            node = self._split(node, child, l)
+            cur += l
+        if cur < end:
+            node.children[self.syms[cur]] = _Node(
+                cur, end - cur, node.depth + (end - cur), payload)
+            self.stats.nodes_created += 1
+        elif node.mark is None:
+            node.mark = payload
 
     def _split(self, parent: _Node, child: _Node, offset: int) -> _Node:
         # Cut child's edge after `offset` symbols; the new middle node takes

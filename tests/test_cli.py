@@ -111,6 +111,25 @@ def test_verify_detects_mismatch(tmp_path, capsys):
     assert "FAILED" in capsys.readouterr().err
 
 
+def test_verify_rejects_wrong_source_length(tmp_path, capsys):
+    text = write_ex1(tmp_path)
+    bad = tmp_path / "bad.parsing"
+    # the worked example's greedy parsing under a wrong header length
+    bad.write_bytes(b"LZD 5 999\nL:0 L:1\nL:1 L:0\nP:1 P:1\nL:0 P:1\nL:0 L:2\n")
+    for strict in ([], ["--strict"]):
+        assert main(["verify", "--scheme", "lzd", "--in", text,
+                     "--parsing", str(bad)] + strict) == 1
+        assert "FAILED" in capsys.readouterr().err
+
+
+def test_gen_raw_over_256_symbols_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.raw"
+    assert main(["gen", "--family", "lzd-slow", "--k", "16", "--out", str(out),
+                 "--format", "raw"]) == 2
+    assert capsys.readouterr().err.startswith("lzgram:")
+    assert not out.exists()
+
+
 def test_verify_scheme_mismatch(tmp_path, capsys):
     text = write_ex1(tmp_path)
     parsing = str(tmp_path / "p.lzmw"); capsys.readouterr()

@@ -97,6 +97,26 @@ def test_strict_verify_rejects_non_greedy():
     assert not verify_parsing(t, lazy, strict=True)
 
 
+def test_verify_rejects_wrong_source_length():
+    for parsing in (EX1_LZD, EX1_LZMW):
+        assert verify_parsing(EX1_TEXT, parsing, strict=True)
+        for n in (0, 5, 12, 14, 999):
+            bad = Parsing(parsing.scheme, parsing.phrases, n)
+            assert not verify_parsing(EX1_TEXT, bad)
+            assert not verify_parsing(EX1_TEXT, bad, strict=True)
+
+
+def test_strict_verify_accepts_either_equal_lzmw_pair():
+    # Phrases 0|0|00|0|1|000: the reference cites pair 2 (p2 p3 = 0 00) for
+    # phrase 6, and pair 3 (p3 p4 = 00 0) spells the same string.
+    t = make_text([0, 0, 0, 0, 0, 1, 0, 0, 0], 2)
+    ref = lzmw_parse_reference(t)
+    assert ref.phrases[5] == PairIndex(2)
+    alt = Parsing(Scheme.LZMW, ref.phrases[:5] + (PairIndex(3),), 9)
+    assert alt != ref
+    assert verify_parsing(t, alt, strict=True)
+
+
 def test_verify_rejects_malformed_instead_of_raising():
     # Forward reference and out-of-range index must not escape as exceptions.
     bad_forward = Parsing(Scheme.LZD,

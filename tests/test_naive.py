@@ -1,5 +1,6 @@
 """Compacted-trie parsers: trie mechanics, oracle equivalence, counters."""
 
+import dataclasses
 import random
 
 from lzgram import (
@@ -13,6 +14,7 @@ from lzgram import (
 )
 from lzgram.naive import CompactedTrie
 from lzgram.adversarial import (
+    FAMILIES,
     gen_lzd_slow,
     gen_lzmw_slow,
     lzd_slow_layout,
@@ -219,3 +221,28 @@ def test_lzd_slow_dictionary_after_priming():
         for j in range(1, k + 1):
             assert w[:j] in dictionary, f"missing prefix w_{i}[:{j}]"
             assert w[j - 1:] in dictionary, f"missing suffix w_{i}[{j}:]"
+
+
+# StepStats fields, then the number of traced parts and their summed search
+# comparisons; any change to the trie walk's charging rules shows here.
+PINNED_STEP_STATS = {
+    "lzd-slow": (28578, 27423, 653, 818, 22202),
+    "lzmw-slow": (20131, 18886, 913, 647, 11322),
+    "random-lzd": (2853, 2151, 290, 482, 1915),
+    "random-lzmw": (3742, 2895, 540, 438, 1886),
+}
+
+
+def test_step_stats_pinned():
+    runs = {}
+    for name in ("lzd-slow", "lzmw-slow"):
+        gen, scheme, _ = FAMILIES[name]
+        runs[name] = (gen(8), scheme)
+    text = random_text(random.Random(2718), 1200, 4)
+    runs["random-lzd"] = (text, Scheme.LZD)
+    runs["random-lzmw"] = (text, Scheme.LZMW)
+    for name, (text, scheme) in runs.items():
+        res = parse_naive(text, scheme, collect_trace=True)
+        got = dataclasses.astuple(res.stats) + (
+            len(res.trace), sum(t.search_cmp for t in res.trace))
+        assert got == PINNED_STEP_STATS[name], name
