@@ -78,10 +78,10 @@ class CompactedTrie:
     def _descend(self, cur: int, stop: int):
         """Charged walk from the root along syms[cur:stop).
 
-        Returns (node, cur, child, l, marked): the walk ends below `node`
-        with syms[cur:] unread, `l` symbols into the edge to `child` (None
-        when no edge matched), and `marked` is the deepest marked node it
-        passed, or None.
+        Returns (node, cur, child, l, marked): the walk stops at `node` with
+        syms[cur:stop) unread, or, when a mismatch or `stop` falls inside
+        the edge to `child`, `l` symbols down that edge (child is None
+        otherwise).  `marked` is the deepest marked node passed, or None.
         """
         syms = self.syms
         stats = self.stats
