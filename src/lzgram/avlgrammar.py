@@ -1,9 +1,16 @@
 """Append-only balanced grammar over a growing symbol sequence.
 
-The content is held as an immutable height-balanced binary DAG: leaves carry
+The content is held as a forest of immutable height-balanced binary DAGs
+(AVL trees) whose heights strictly decrease from left to right: leaves carry
 single symbols, internal nodes concatenate their children.  Appending a copy
 of an existing range shares the old nodes, so the structure is a straight-line
-grammar whose size stays near z*log(n) while the content grows to n.  Every
+grammar whose size stays near z*log(n) while the content grows to n.  An
+append joins only the trees no taller than the new piece, as in a binary
+counter, instead of rebuilding the right spine of one tree.
+
+Queries see one root: a chain of spine nodes (trees[i], next) over the
+forest, refreshed in place after every append.  Spine nodes are ordinary
+nodes that are never shared, since a copy takes the trees under them.  Every
 node caches length and a composable fingerprint of its expansion, which gives
 logarithmic-time prefix fingerprints and range extraction.
 
@@ -32,6 +39,8 @@ class _Node:
 class AvlGrammar:
     def __init__(self, cfg: HashConfig):
         self.cfg = cfg
+        self._trees: list[_Node] = []  # AVL roots, heights strictly decreasing
+        self._spine: list[_Node] = []  # _spine[i] = (_trees[i], _spine[i+1] or _trees[-1])
         self.root: _Node | None = None
         self.ops = 0
 
@@ -80,8 +89,45 @@ class AvlGrammar:
 
     # -- appends ---------------------------------------------------------
 
+    def _push(self, x: _Node) -> None:
+        """Append the tree x to the forest, keeping heights strictly
+        decreasing: fold the trees no taller than x, join x, then absorb
+        trees the result has caught up with."""
+        trees = self._trees
+        acc = None
+        while trees and trees[-1].height <= x.height:
+            acc = self._join(trees.pop(), acc)
+        x = self._join(acc, x)
+        while trees and trees[-1].height <= x.height:
+            x = self._join(trees.pop(), x)
+        trees.append(x)
+
+    def _refresh(self) -> None:
+        """Rebuild the spine over the forest bottom-up, reusing its nodes in
+        place; each refreshed node counts as one op."""
+        trees, spine = self._trees, self._spine
+        k = len(trees)
+        del spine[k - 1:]
+        while len(spine) < k - 1:
+            spine.append(_Node(None, None, None, 0, 0, 0, 1))
+        p = self.cfg.p
+        node = trees[-1]
+        for i in range(k - 2, -1, -1):
+            l = trees[i]
+            s = spine[i]
+            s.left = l
+            s.right = node
+            s.height = l.height + 1  # the spine below is no taller than l
+            s.length = l.length + node.length
+            s.hash = (l.hash + l.pow * node.hash) % p
+            s.pow = l.pow * node.pow % p
+            node = s
+        self.ops += k - 1
+        self.root = node
+
     def append_literal(self, sym: int) -> None:
-        self.root = self._join(self.root, self._leaf(sym))
+        self._push(self._leaf(sym))
+        self._refresh()
 
     def append_copy(self, start: int, end: int) -> None:
         """Append a copy of current content[start:end]."""
@@ -89,10 +135,13 @@ class AvlGrammar:
             raise ValueError(f"copy range [{start},{end}) outside content")
         if start == end:
             return
-        acc: _Node | None = None
-        for piece in self._cover(start, end):
-            acc = self._join(acc, piece)
-        self.root = self._join(self.root, acc)
+        pieces = self._cover(start, end)
+        if end == self.length and pieces[-1] in self._spine:
+            # a spine node is never shared: copy the trees under it
+            pieces[-1:] = self._trees[self._spine.index(pieces[-1]):]
+        for piece in pieces:
+            self._push(piece)
+        self._refresh()
 
     # -- queries ---------------------------------------------------------
 
@@ -276,9 +325,17 @@ class AvlGrammar:
         return len(seen)
 
     def validate(self) -> None:
-        """Recompute every cached field bottom-up and compare (test helper)."""
+        """Recompute every cached field bottom-up and compare (test helper):
+        AVL balance in every tree, strictly decreasing tree heights, the spine
+        over the trees, and no spine node below a tree node."""
         p = self.cfg.p
         memo: dict[int, tuple] = {}
+        spine_ids = {id(s) for s in self._spine}
+
+        def fields(l: tuple, r: tuple) -> tuple:
+            hl, ll, xl, pl = l
+            hr, lr, xr, pr = r
+            return max(hl, hr) + 1, ll + lr, (xl + pl * xr) % p, (pl * pr) % p
 
         def walk(node: _Node) -> tuple:
             got = memo.get(id(node))
@@ -288,13 +345,25 @@ class AvlGrammar:
                 got = (1, 1, node.sym % p, self.cfg.delta % p)
                 assert node.hash == got[2] and node.pow == got[3]
             else:
-                hl, ll, xl, pl = walk(node.left)
-                hr, lr, xr, pr = walk(node.right)
-                assert abs(hl - hr) <= 1, "balance violated"
-                got = (max(hl, hr) + 1, ll + lr, (xl + pl * xr) % p, (pl * pr) % p)
+                assert id(node.left) not in spine_ids, "spine node shared"
+                assert id(node.right) not in spine_ids, "spine node shared"
+                l, r = walk(node.left), walk(node.right)
+                assert abs(l[0] - r[0]) <= 1, "balance violated"
+                got = fields(l, r)
                 assert (node.height, node.length, node.hash, node.pow) == got
             memo[id(node)] = got
             return got
 
-        if self.root is not None:
-            walk(self.root)
+        trees = self._trees
+        heights = [walk(t)[0] for t in trees]
+        assert all(a > b for a, b in zip(heights, heights[1:])), \
+            "tree heights not strictly decreasing"
+        assert len(self._spine) == max(len(trees) - 1, 0)
+        node = trees[-1] if trees else None
+        got = walk(node) if trees else None
+        for t, s in zip(reversed(trees[:-1]), reversed(self._spine)):
+            assert s.sym is None and s.left is t and s.right is node
+            got = fields(walk(t), got)
+            assert (s.height, s.length, s.hash, s.pow) == got
+            node = s
+        assert self.root is node

@@ -23,7 +23,7 @@ from operator import mul
 
 from .avlgrammar import AvlGrammar
 from .hashing import MERSENNE61, Fingerprint, HashConfig, fp_concat
-from .model import Literal, Parsing, Scheme, greedy_parse, make_text, verify_parsing
+from .model import Literal, Parsing, Scheme, greedy_parse, spelled_expansions
 from .ztrie import ZTrie
 
 
@@ -82,13 +82,15 @@ class _Carry:
     """
 
     __slots__ = ("g", "cfg", "occ_start", "occ_len", "_occ_fp",
-                 "_tail", "_th", "_dpow", "_toff", "_tinv", "_dinv")
+                 "_tail", "_th", "_dpow", "_dinvpow", "_dinv", "_toff", "_tinv")
 
     def __init__(self, cfg: HashConfig, g: AvlGrammar):
         self.cfg = cfg
         self.g = g
         self._dinv = pow(cfg.delta, cfg.p - 2, cfg.p)
-        self._dpow = [1]  # delta^i, grown to the longest block seen
+        # delta^i and delta^-i, grown to the longest block seen
+        self._dpow = [1]
+        self._dinvpow = [1]
         self.rebase(0, 0, [])
 
     @property
@@ -130,9 +132,10 @@ class _Carry:
         self._toff = 0
         self._tinv = 1
         p = self.cfg.p
-        dpow = self._dpow
+        dpow, dinvpow = self._dpow, self._dinvpow
         while len(dpow) <= len(block):
             dpow.append(dpow[-1] * self.cfg.delta % p)
+            dinvpow.append(dinvpow[-1] * self._dinv % p)
         self._th = [0]
         self._th += accumulate(map(mul, block, dpow))
 
@@ -144,7 +147,7 @@ class _Carry:
             self._occ_fp = None
             return
         self._toff += k - self.occ_len
-        self._tinv = pow(self._dinv, self._toff, self.cfg.p)
+        self._tinv = self._dinvpow[self._toff]
         self.occ_len = 0
         self._occ_fp = None
 
@@ -268,7 +271,7 @@ def parse_las_vegas_detailed(make_reader, scheme: Scheme, seed: int = 0,
     for attempt in range(1, max_attempts + 1):
         cfg = HashConfig(p=p, delta=rng.randrange(1, p))
         res = parse_fast(make_reader(), scheme, cfg=cfg)
-        if verify_parsing(make_text(tuple(make_reader())), res.parsing):
+        if spelled_expansions(tuple(make_reader()), res.parsing) is not None:
             return replace(res, attempts=attempt)
     raise RuntimeError(f"no verified parsing after {max_attempts} attempts")
 

@@ -330,6 +330,23 @@ def expand_parsing(parsing: Parsing) -> tuple:
     return tuple(chain.from_iterable(phrase_expansions(parsing)))
 
 
+def spelled_expansions(symbols: tuple, parsing: Parsing) -> list | None:
+    """The parsing's phrase expansions if they spell exactly the symbols,
+    else None (also for a malformed parsing)."""
+    if parsing.source_length != len(symbols):
+        return None
+    try:
+        parts = list(_phrase_parts(parsing))
+    except GrammarError:
+        return None
+    if sum(_fold_phrases(parts, _length)) != len(symbols):
+        return None
+    exps = _fold_phrases(parts, _expansion)
+    if tuple(chain.from_iterable(exps)) != symbols:
+        return None
+    return exps
+
+
 def verify_parsing(text: Text, parsing: Parsing, strict: bool = False) -> bool:
     """True iff the parsing expands to the text.
 
@@ -340,16 +357,8 @@ def verify_parsing(text: Text, parsing: Parsing, strict: bool = False) -> bool:
     LZMW phrase may cite either of two adjacent equal pair strings, so there
     expansions are compared phrase by phrase.
     """
-    if parsing.source_length != len(text):
-        return False
-    try:
-        parts = list(_phrase_parts(parsing))
-    except GrammarError:
-        return False
-    if sum(_fold_phrases(parts, _length)) != len(text):
-        return False
-    exps = _fold_phrases(parts, _expansion)
-    if tuple(chain.from_iterable(exps)) != text.symbols:
+    exps = spelled_expansions(text.symbols, parsing)
+    if exps is None:
         return False
     if strict:
         ref = parse_reference(text, parsing.scheme)

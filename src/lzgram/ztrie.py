@@ -10,7 +10,9 @@ callers recover from collisions at a higher level.
 Marked nodes form the current dictionary.  Nearest-marked-ancestor queries use
 Euler-tour intervals kept in an order-maintenance list: marked intervals nest
 or are disjoint, so the innermost marked interval containing a node's opening
-endpoint is its deepest marked ancestor-or-self.
+endpoint is its deepest marked ancestor-or-self.  A marked node answers for
+itself, so only marked nodes that are someone's ancestor, those with
+children, need an interval in the index.
 """
 
 from __future__ import annotations
@@ -99,10 +101,12 @@ class _TreapNode:
 class MarkedAncestorIndex:
     """Treap over marked Euler intervals, keyed by opening endpoint.
 
-    `nearest(v)` stabs v's opening label: the marked interval with the largest
-    opening label at or before it whose closing label is at or after it.  For
-    nested-or-disjoint intervals that is the innermost container, i.e. the
-    deepest marked ancestor-or-self of v.
+    `nearest(v)` is v itself when v is marked.  Otherwise it stabs v's opening
+    label: the entered interval with the largest opening label at or before
+    it whose closing label is at or after it.  For nested-or-disjoint
+    intervals that is the innermost container, i.e. the deepest marked
+    proper ancestor of v, provided every marked node with a descendant has
+    been entered.
     """
 
     def __init__(self, seed: int = 0):
@@ -111,9 +115,14 @@ class MarkedAncestorIndex:
         self.ops = 0
 
     def mark(self, tnode) -> None:
+        """Mark tnode and enter its interval."""
         if tnode.ma_marked:
             return
         tnode.ma_marked = True
+        self.enter(tnode)
+
+    def enter(self, tnode) -> None:
+        """Enter the interval of a node marked earlier but not entered then."""
         self._root = self._insert(self._root, _TreapNode(tnode, self._rng.random()))
 
     def _insert(self, t, node):
@@ -158,6 +167,8 @@ class MarkedAncestorIndex:
 
     def nearest(self, tnode):
         """Deepest marked ancestor-or-self of tnode, or None."""
+        if tnode.ma_marked:
+            return tnode
         return self._stab(self._root, tnode.open_item.label)
 
     def _stab(self, t, pos):
@@ -249,6 +260,7 @@ class ZTrie:
         self.ma = MarkedAncestorIndex()
         self.table: dict = {}
         self.ops = 0
+        self.max_depth = 0  # no table key is longer
         root = _TrieNode(None, 0, 0)
         root.open_item = self.om.insert_first()
         root.close_item = self.om.insert_after(root.open_item)
@@ -264,7 +276,12 @@ class ZTrie:
         self.table[(f, fp.hash)] = node
 
     def _new_leaf(self, parent, depth, ell) -> _TrieNode:
-        """New childless node; its Euler interval nests just inside parent's."""
+        """New childless node; its Euler interval nests just inside parent's.
+        A marked parent getting its first child enters the index."""
+        if parent.ma_marked and not parent.children:
+            self.ma.enter(parent)
+        if depth > self.max_depth:
+            self.max_depth = depth
         node = _TrieNode(parent, depth, ell)
         node.open_item = self.om.insert_after(parent.close_item.prev)
         node.close_item = self.om.insert_after(node.open_item)
@@ -305,7 +322,10 @@ class ZTrie:
             v = leaf
         if v.payload is None:
             v.payload = payload
-        self.ma.mark(v)
+        if v.children:
+            self.ma.mark(v)
+        else:
+            v.ma_marked = True  # entered with its first child
         return v
 
     def _split(self, c: _TrieNode, mid_depth: int) -> _TrieNode:
@@ -341,8 +361,9 @@ class ZTrie:
 
         The result is only w.h.p. the right node (and may be one node too
         high); callers must validate with fingerprint LCPs, as locate() does.
+        Lengths beyond the deepest node are not probed: every one would miss.
         """
-        a, b = 0, probe.length
+        a, b = 0, min(probe.length, self.max_depth)
         v = self.root
         while a < b:
             f = two_fattest(a, b)

@@ -142,3 +142,40 @@ def test_one_walk_queries_on_copy_built_grammars():
         assert g.substring_fp(a, b) == fp_of(cfg, model[a:b])
         assert g.ops - before == cover_visits(g, a, b)
         assert g.symbol_at(a) == model[a]
+
+
+PHI = (1 + 5 ** 0.5) / 2
+
+
+def test_forest_under_literals_and_copies_to_the_end():
+    # copies that end at g.length, whole-content ones included, cover a
+    # spine node; the copy must take the trees under it instead.  An AVL
+    # tree of height h has at least Fib(h + 1) >= PHI ** (h - 1) leaves, and
+    # the spine adds one level above the tallest tree.  (1.45 * log2(n + 2)
+    # is not a bound here: repeated whole copies make near-Fibonacci trees,
+    # and a single tree exceeds it too.)
+    rng = random.Random(60221)
+    for _ in range(8):
+        cfg = HashConfig.from_seed(rng.randrange(1 << 30))
+        g = AvlGrammar(cfg)
+        model: list[int] = []
+        for _ in range(120):
+            r = rng.random()
+            if not model or r < 0.35:
+                sym = rng.randrange(3)
+                g.append_literal(sym)
+                model.append(sym)
+            else:
+                n = len(model)
+                if r < 0.5 and n <= 2000:
+                    start = 0
+                else:
+                    start = rng.randrange(max(0, n - 300), n)
+                end = n if r < 0.85 else rng.randrange(start + 1, n + 1)
+                g.append_copy(start, end)
+                model.extend(model[start:end])
+            g.validate()
+            assert g.to_symbols() == tuple(model)
+            assert all(t.height <= 1 + math.log(t.length, PHI) for t in g._trees)
+            assert g.root.height <= 2 + math.log(len(model), PHI)
+            assert len(g._trees) <= 1.45 * math.log2(len(model) + 2)

@@ -194,14 +194,15 @@ def test_slow_family_k16_agreement():
 
 
 # (symbols_read, blocks_read, searches, parts, grammar_ops, trie_ops, ma_ops,
-#  trie_nodes, grammar_nodes) of parse_fast(..., seed=0).  The two op counters
-# move whenever the engine's search paths change; the other seven fields are
-# fixed by the parsing and the block reader.
+#  trie_nodes, grammar_nodes) of parse_fast(..., seed=0).  The three op
+# counters and grammar_nodes move whenever the engine's search paths or
+# structures change; the other five fields are fixed by the parsing and the
+# block reader.
 PINNED_FAST_STATS = {
-    "lzd-slow": (13123, 67, 885, 818, 71914, 5658, 13095, 654, 2393),
-    "lzmw-slow": (7870, 47, 694, 647, 61171, 4499, 13964, 914, 1776),
-    "random-lzd": (1200, 10, 492, 482, 23351, 2893, 6203, 291, 752),
-    "random-lzmw": (1200, 10, 448, 438, 27985, 2625, 8383, 541, 755),
+    "lzd-slow": (13123, 67, 885, 818, 64979, 4970, 4800, 654, 2325),
+    "lzmw-slow": (7870, 47, 694, 647, 50960, 3549, 5361, 914, 1627),
+    "random-lzd": (1200, 10, 492, 482, 21279, 1631, 1228, 291, 760),
+    "random-lzmw": (1200, 10, 448, 438, 25785, 1519, 1858, 541, 791),
 }
 
 

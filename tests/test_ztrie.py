@@ -457,3 +457,73 @@ def test_locate_resumes_from_a_certified_prefix():
             if m == cut:
                 probe = ListProbe(cfg, q)
                 assert trie.locate(probe, at=(v, m)) == trie.locate(probe)
+
+
+class RecordingProbe(ListProbe):
+    """ListProbe that records every prefix length it is asked about."""
+
+    def __init__(self, cfg, syms):
+        super().__init__(cfg, syms)
+        self.asked = []
+
+    def fp(self, k):
+        self.asked.append(k)
+        return super().fp(k)
+
+
+def entered_nodes(ma):
+    out, stack = [], [ma._root]
+    while stack:
+        t = stack.pop()
+        if t is not None:
+            out.append(t.tnode)
+            stack += (t.left, t.right)
+    return out
+
+
+def test_index_and_search_bound_after_every_insert():
+    # the index holds exactly the marked nodes with children (a marked node
+    # answers for itself), and no search probes a length beyond the deepest
+    # node, where every table lookup must miss
+    rng = random.Random(31415)
+    for _ in range(25):
+        sigma = rng.choice([2, 3, 4])
+        n = rng.randrange(10, 100)
+        content = [rng.randrange(sigma) for _ in range(n)]
+        cfg = HashConfig.from_seed(rng.randrange(1 << 30))
+        g = AvlGrammar(cfg)
+        for s in content:
+            g.append_literal(s)
+        trie = ZTrie(g)
+        strings = []
+        for idx in range(rng.randrange(1, 30)):
+            start = rng.randrange(n)
+            end = rng.randrange(start + 1, min(n, start + 16) + 1)
+            trie.insert(start, end, ("dict", idx))
+            strings.append(tuple(content[start:end]))
+            nodes, stack = [], [trie.root]
+            while stack:
+                v = stack.pop()
+                nodes.append(v)
+                stack.extend(v.children.values())
+            for v in nodes:
+                assert trie.ma.nearest(v) is walk_up_marked(v)
+            entered = entered_nodes(trie.ma)
+            assert len({id(v) for v in entered}) == len(entered)
+            assert ({id(v) for v in entered}
+                    == {id(v) for v in nodes if v.ma_marked and v.children})
+            assert trie.max_depth == max(v.depth for v in nodes)
+            for _ in range(4):
+                a = rng.randrange(n)
+                q = content[a:a + rng.randrange(trie.max_depth + 1)]
+                q += [rng.randrange(sigma)
+                      for _ in range(trie.max_depth + 1 - len(q) + rng.randrange(4))]
+                probe = RecordingProbe(cfg, q)
+                trie.prefix_search(probe)
+                assert max(probe.asked, default=0) <= trie.max_depth
+                node, m = trie.locate(ListProbe(cfg, q))
+                assert m == max(lcp_len(q, s) for s in strings)
+                best = max((len(s) for s in strings if s == tuple(q[:len(s)])),
+                           default=None)
+                w = trie.nearest_marked(node, m)
+                assert (w.depth if w is not None else None) == best
