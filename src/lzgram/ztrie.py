@@ -122,7 +122,8 @@ class MarkedAncestorIndex:
         self.enter(tnode)
 
     def enter(self, tnode) -> None:
-        """Enter the interval of a node marked earlier but not entered then."""
+        """Enter a marked node's interval; ZTrie enters a marked leaf only
+        once it gets a child."""
         self._root = self._insert(self._root, _TreapNode(tnode, self._rng.random()))
 
     def _insert(self, t, node):
