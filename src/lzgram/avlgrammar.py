@@ -243,12 +243,12 @@ class AvlGrammar:
         self.ops += ops
         return node.sym
 
-    def common_prefix(self, probe, start: int, end: int, lo: int = 0) -> int:
-        """Longest common prefix of the probe's string and content[start:end),
-        for a range whose fingerprint differs from the probe's of the same
-        length, the first lo symbols known to match (lo < end - start).
+    def common_prefix(self, probe, start: int, max_len: int, lo: int = 0) -> int:
+        """Longest common prefix of the probe's string and
+        content[start:start+max_len), the first lo symbols known to match.
 
-        One descent from the known prefix on, exact w.h.p.: at each node whose
+        One full-length fingerprint comparison, then, if it fails, one
+        descent from the known prefix on, exact w.h.p.: at each node whose
         children part the unmatched rest of the range, the probe's
         fingerprint up to the middle decides which child holds the first
         mismatch.  The test compares it with the running hash up to the node's
@@ -256,6 +256,12 @@ class AvlGrammar:
         known prefix, with the hash of content[start:node end) minus the
         whole right child instead.
         """
+        hi = min(probe.length, max_len)
+        if hi <= lo:
+            return lo
+        end = start + hi
+        if probe.fp(hi) == self.substring_fp(start, end):
+            return hi
         p = self.cfg.p
         h, pw, _ = probe.fp(lo)
         a = start + lo
@@ -312,13 +318,13 @@ class AvlGrammar:
     def reachable_nodes(self) -> int:
         if self.root is None:
             return 0
-        seen: set[int] = set()
+        seen: set[_Node] = set()  # nodes hash by identity
         stack = [self.root]
         while stack:
             node = stack.pop()
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             if node.sym is None:
                 stack.append(node.left)
                 stack.append(node.right)

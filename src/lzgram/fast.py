@@ -81,8 +81,8 @@ class _Carry:
     grammar fingerprint with rolling hashes of the tail.
     """
 
-    __slots__ = ("g", "cfg", "occ_start", "occ_len", "_occ_fp",
-                 "_tail", "_th", "_dpow", "_dinvpow", "_dinv", "_toff", "_tinv")
+    __slots__ = ("g", "cfg", "occ_start", "occ_len", "length", "_occ_fp",
+                 "_tail", "_th", "_dpow", "_dinvpow", "_dinv", "_toff")
 
     def __init__(self, cfg: HashConfig, g: AvlGrammar):
         self.cfg = cfg
@@ -93,15 +93,10 @@ class _Carry:
         self._dinvpow = [1]
         self.rebase(0, 0, [])
 
-    @property
-    def length(self) -> int:
-        return self.occ_len + len(self._tail) - self._toff
-
     def _tail_fp(self, t: int) -> Fingerprint:
-        p = self.cfg.p
         a = self._toff
-        return Fingerprint((self._th[a + t] - self._th[a]) * self._tinv % p,
-                           self._dpow[t], t)
+        h = (self._th[a + t] - self._th[a]) * self._dinvpow[a] % self.cfg.p
+        return Fingerprint(h, self._dpow[t], t)
 
     def fp(self, q: int) -> Fingerprint:
         if q <= self.occ_len:
@@ -124,13 +119,13 @@ class _Carry:
         by the freshly read block (which the carry takes over)."""
         self.occ_start = start
         self.occ_len = length
+        self.length = length + len(block)
         self._occ_fp: Fingerprint | None = None
         # logical tail = _tail[_toff:]; _th holds rolling prefix hashes of
         # _tail from its absolute start, left unreduced mod p until read;
-        # _tinv = delta^-_toff undoes the dropped prefix
+        # delta^-_toff undoes the dropped prefix
         self._tail = block
         self._toff = 0
-        self._tinv = 1
         p = self.cfg.p
         dpow, dinvpow = self._dpow, self._dinvpow
         while len(dpow) <= len(block):
@@ -141,13 +136,13 @@ class _Carry:
 
     def consume(self, k: int) -> None:
         """Drop the first k symbols (they were just parsed and appended)."""
+        self.length -= k
         if k <= self.occ_len:
             self.occ_start += k
             self.occ_len -= k
             self._occ_fp = None
             return
         self._toff += k - self.occ_len
-        self._tinv = self._dinvpow[self._toff]
         self.occ_len = 0
         self._occ_fp = None
 

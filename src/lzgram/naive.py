@@ -70,10 +70,10 @@ class CompactedTrie:
     Marking is first-wins so earlier entries stay canonical.
     """
 
-    def __init__(self, syms, stats: StepStats | None = None):
+    def __init__(self, syms):
         self.syms = syms
         self.root = _Node(0, 0, 0, None)
-        self.stats = stats if stats is not None else StepStats()
+        self.stats = StepStats()
 
     def _descend(self, cur: int, stop: int):
         """Charged walk from the root along syms[cur:stop).

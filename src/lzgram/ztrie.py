@@ -7,12 +7,13 @@ prefix fingerprints), then validate the candidate with fingerprint-driven LCP
 computations.  All answers are therefore correct only with high probability;
 callers recover from collisions at a higher level.
 
-Marked nodes form the current dictionary.  Nearest-marked-ancestor queries use
-Euler-tour intervals kept in an order-maintenance list: marked intervals nest
-or are disjoint, so the innermost marked interval containing a node's opening
-endpoint is its deepest marked ancestor-or-self.  A marked node answers for
-itself, so only marked nodes that are someone's ancestor, those with
-children, need an interval in the index.
+Nodes with a payload are the current dictionary; a node is marked iff it has
+one.  Nearest-marked-ancestor queries use Euler-tour intervals kept in an
+order-maintenance list: marked intervals nest or are disjoint, so the
+innermost marked interval containing a node's opening endpoint is its deepest
+marked ancestor-or-self.  A marked node answers for itself, so only marked
+nodes that are someone's ancestor, those with children, need an interval in
+the index.
 """
 
 from __future__ import annotations
@@ -101,29 +102,22 @@ class _TreapNode:
 class MarkedAncestorIndex:
     """Treap over marked Euler intervals, keyed by opening endpoint.
 
-    `nearest(v)` is v itself when v is marked.  Otherwise it stabs v's opening
-    label: the entered interval with the largest opening label at or before
-    it whose closing label is at or after it.  For nested-or-disjoint
+    `nearest(v)` is v itself when v has a payload.  Otherwise it stabs v's
+    opening label: the entered interval with the largest opening label at or
+    before it whose closing label is at or after it.  For nested-or-disjoint
     intervals that is the innermost container, i.e. the deepest marked
     proper ancestor of v, provided every marked node with a descendant has
     been entered.
     """
 
-    def __init__(self, seed: int = 0):
-        self._rng = random.Random(seed)
+    def __init__(self):
+        self._rng = random.Random(0)
         self._root = None
         self.ops = 0
 
-    def mark(self, tnode) -> None:
-        """Mark tnode and enter its interval."""
-        if tnode.ma_marked:
-            return
-        tnode.ma_marked = True
-        self.enter(tnode)
-
     def enter(self, tnode) -> None:
-        """Enter a marked node's interval; ZTrie enters a marked leaf only
-        once it gets a child."""
+        """Enter a marked node's interval, once; ZTrie enters a marked node
+        when it has or gets its first child."""
         self._root = self._insert(self._root, _TreapNode(tnode, self._rng.random()))
 
     def _insert(self, t, node):
@@ -168,7 +162,7 @@ class MarkedAncestorIndex:
 
     def nearest(self, tnode):
         """Deepest marked ancestor-or-self of tnode, or None."""
-        if tnode.ma_marked:
+        if tnode.payload is not None:
             return tnode
         return self._stab(self._root, tnode.open_item.label)
 
@@ -187,23 +181,7 @@ class MarkedAncestorIndex:
 
 
 # ---------------------------------------------------------------------------
-# fingerprint LCP search and the grammar-interval probe
-
-def lcp_by_fingerprint(g: AvlGrammar, probe, start: int, max_len: int,
-                       lo: int = 0) -> int:
-    """Longest common prefix of the probe's string and content[start:start+max_len).
-
-    One full-length fingerprint comparison, then one grammar descent
-    (`AvlGrammar.common_prefix`); exact w.h.p.  lo is a known lower bound on
-    the answer: lengths up to it are not compared.
-    """
-    hi = min(probe.length, max_len)
-    if hi <= lo:
-        return lo
-    if probe.fp(hi) == g.substring_fp(start, start + hi):
-        return hi
-    return g.common_prefix(probe, start, start + hi, lo)
-
+# the grammar-interval probe
 
 class _Interval:
     """Probe over content[start:end) of the grammar.
@@ -234,7 +212,7 @@ class _Interval:
 
 class _TrieNode:
     __slots__ = ("parent", "depth", "ell", "children", "payload",
-                 "open_item", "close_item", "ma_marked")
+                 "open_item", "close_item")
 
     def __init__(self, parent, depth, ell):
         self.parent = parent
@@ -244,7 +222,6 @@ class _TrieNode:
         self.payload = None
         self.open_item = None
         self.close_item = None
-        self.ma_marked = False
 
 
 class ZTrie:
@@ -279,7 +256,7 @@ class ZTrie:
     def _new_leaf(self, parent, depth, ell) -> _TrieNode:
         """New childless node; its Euler interval nests just inside parent's.
         A marked parent getting its first child enters the index."""
-        if parent.ma_marked and not parent.children:
+        if parent.payload is not None and not parent.children:
             self.ma.enter(parent)
         if depth > self.max_depth:
             self.max_depth = depth
@@ -294,10 +271,10 @@ class ZTrie:
     def insert(self, start: int, end: int, payload, at=None) -> _TrieNode:
         """Insert content[start:end) as a dictionary string; returns its node.
 
-        Existing strings are only marked.  The string is found by `locate`,
-        or from `at`: the (node, lcp) that `locate` returned, possibly before
-        other inserts, for a string that starts with this one.  At most one
-        edge split and one new leaf follow.
+        The first payload given for a string stays; payloads are never None.
+        The string is found by `locate`, or from `at`: the (node, lcp) that
+        `locate` returned, possibly before other inserts, for a string that
+        starts with this one.  At most one edge split and one new leaf follow.
         """
         if not 0 <= start < end <= self.g.length:
             raise ValueError(f"insert range [{start},{end}) outside content")
@@ -323,10 +300,8 @@ class ZTrie:
             v = leaf
         if v.payload is None:
             v.payload = payload
-        if v.children:
-            self.ma.mark(v)
-        else:
-            v.ma_marked = True  # entered with its first child
+            if v.children:  # a leaf is entered with its first child
+                self.ma.enter(v)
         return v
 
     def _split(self, c: _TrieNode, mid_depth: int) -> _TrieNode:
@@ -390,28 +365,21 @@ class ZTrie:
         node.depth], even if earlier collisions corrupted the topology; the
         answer itself is only w.h.p. correct.
         """
-        if at is None:
-            v = self.prefix_search(probe)
-            # climb until the probe demonstrably reaches v's edge
-            while True:
-                if v.parent is None:
-                    m = 0
-                    break
-                m = lcp_by_fingerprint(self.g, probe, v.ell, v.depth)
-                if m > v.parent.depth:
-                    break
-                v = v.parent
-        else:
-            # finish v's edge from the known point
-            v, m = at
-            m = lcp_by_fingerprint(self.g, probe, v.ell, v.depth, m)
+        v, m = (self.prefix_search(probe), 0) if at is None else at
+        # climb until the probe demonstrably reaches v's edge; a given locus
+        # is on its edge already, so its first LCP, finishing it, ends this
+        while v.parent is not None:
+            m = self.g.common_prefix(probe, v.ell, v.depth, m)
+            if m > v.parent.depth:
+                break
+            v, m = v.parent, 0
         # then extend downward by validated child steps only
         while m == v.depth and m < probe.length:
             c = v.children.get(probe.symbol_at(m))
             if c is None:
                 break
             self.ops += 1
-            m2 = lcp_by_fingerprint(self.g, probe, c.ell, c.depth)
+            m2 = self.g.common_prefix(probe, c.ell, c.depth)
             if m2 <= v.depth:
                 break
             v, m = c, m2

@@ -5,8 +5,7 @@ import random
 import pytest
 
 from lzgram import AvlGrammar, HashConfig, fp_concat, fp_empty, fp_symbol
-from lzgram.ztrie import (MarkedAncestorIndex, OrderList, ZTrie, _Interval,
-                          lcp_by_fingerprint, two_fattest)
+from lzgram.ztrie import MarkedAncestorIndex, OrderList, ZTrie, _Interval, two_fattest
 
 from support import build_by_copies
 
@@ -103,7 +102,7 @@ def test_order_list_relabels_under_point_pressure():
 
 
 def walk_up_marked(node):
-    while node is not None and not node.ma_marked:
+    while node is not None and node.payload is None:
         node = node.parent
     return node
 
@@ -132,12 +131,12 @@ def test_marked_ancestor_matches_walk_up():
 
 
 def test_marked_ancestor_direct():
-    ma = MarkedAncestorIndex(seed=1)
+    ma = MarkedAncestorIndex()
 
     class Node:
         def __init__(self, parent, om, after):
             self.parent = parent
-            self.ma_marked = False
+            self.payload = None
             self.open_item = om.insert_after(after)
             self.close_item = om.insert_after(self.open_item)
 
@@ -147,13 +146,13 @@ def test_marked_ancestor_direct():
     a = Node(root, om, root.open_item)
     b = Node(a, om, a.open_item)
     assert ma.nearest(b) is None
-    ma.mark(root)
+    root.payload = "root"
+    ma.enter(root)
     assert ma.nearest(b) is root
-    ma.mark(a)
+    a.payload = "a"
+    ma.enter(a)
     assert ma.nearest(b) is a
     assert ma.nearest(root) is root
-    ma.mark(a)  # idempotent
-    assert ma.nearest(b) is a
 
 
 # -- trie searches ----------------------------------------------------------
@@ -309,9 +308,12 @@ def test_trie_invariants_after_random_inserts():
         stack = [trie.root]
         while stack:
             v = stack.pop()
-            if v.ma_marked:
+            if v.payload is not None:
                 got[string(v)] = v.payload
             if v is not trie.root:
+                # a node without a payload is a branching point: a split
+                # gets the payload or a second child in the same insert
+                assert v.payload is not None or len(v.children) >= 2
                 f = two_fattest(v.parent.depth, v.depth)
                 key = (f, g.substring_fp(v.ell, v.ell + f).hash)
                 assert trie.table[key] is v
@@ -349,9 +351,9 @@ def test_lcp_lower_bound_matches_oracle():
                 syms += [rng.randrange(sigma) for _ in range(rng.randrange(4))]
                 probe = ListProbe(cfg, syms)
             want = lcp_len(syms[:max_len], content[start:start + max_len])
-            assert lcp_by_fingerprint(g, probe, start, max_len) == want
+            assert g.common_prefix(probe, start, max_len) == want
             for lo in range(want + 1):
-                assert lcp_by_fingerprint(g, probe, start, max_len, lo) == want
+                assert g.common_prefix(probe, start, max_len, lo) == want
 
 
 def test_lcp_descent_on_copy_built_grammars():
@@ -378,11 +380,11 @@ def test_lcp_descent_on_copy_built_grammars():
             max_len = rng.choice([n - start, rng.randrange(n - start + 1)])
             want = lcp_len(syms[:max_len], content[start:start + max_len])
             for lo in range(want + 1):
-                assert lcp_by_fingerprint(g, probe, start, max_len, lo) == want
+                assert g.common_prefix(probe, start, max_len, lo) == want
 
 
 def _trie_shape(trie):
-    """Every node's (depth, ell, child keys, marked payload), in a walk that
+    """Every node's (depth, ell, child keys, payload), in a walk that
     visits children by key, and the table with nodes named by walk index."""
     index, shape = {}, []
     stack = [trie.root]
@@ -390,8 +392,7 @@ def _trie_shape(trie):
         v = stack.pop()
         index[id(v)] = len(shape)
         keys = sorted(v.children)
-        shape.append((v.depth, v.ell, tuple(keys),
-                      v.payload if v.ma_marked else None))
+        shape.append((v.depth, v.ell, tuple(keys), v.payload))
         stack.extend(v.children[k] for k in reversed(keys))
     table = {key: index[id(v)] for key, v in trie.table.items()}
     return shape, table
@@ -511,7 +512,8 @@ def test_index_and_search_bound_after_every_insert():
             entered = entered_nodes(trie.ma)
             assert len({id(v) for v in entered}) == len(entered)
             assert ({id(v) for v in entered}
-                    == {id(v) for v in nodes if v.ma_marked and v.children})
+                    == {id(v) for v in nodes
+                        if v.payload is not None and v.children})
             assert trie.max_depth == max(v.depth for v in nodes)
             for _ in range(4):
                 a = rng.randrange(n)
