@@ -36,46 +36,3 @@ from .fast import (
     parse_las_vegas_detailed,
 )
 from .bench import CSV_HEADER, fit_exponent, run_bench
-
-__all__ = [
-    "Scheme",
-    "Text",
-    "make_text",
-    "Literal",
-    "PhraseIndex",
-    "PairIndex",
-    "LzdPhrase",
-    "Parsing",
-    "Grammar",
-    "Term",
-    "Ref",
-    "GrammarError",
-    "lzd_parse_reference",
-    "lzmw_parse_reference",
-    "parse_reference",
-    "phrase_expansions",
-    "phrase_lengths",
-    "expand_parsing",
-    "verify_parsing",
-    "check_lzd_distinct",
-    "check_lzmw_pair_distinct",
-    "parsing_to_grammar",
-    "expand_grammar",
-    "validate_grammar",
-    "HashConfig",
-    "Fingerprint",
-    "fp_concat",
-    "fp_empty",
-    "fp_of",
-    "fp_symbol",
-    "MERSENNE61",
-    "parse_naive",
-    "AvlGrammar",
-    "BlockReader",
-    "parse_fast",
-    "parse_las_vegas",
-    "parse_las_vegas_detailed",
-    "CSV_HEADER",
-    "fit_exponent",
-    "run_bench",
-]

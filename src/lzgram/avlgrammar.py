@@ -20,7 +20,10 @@ node constructions; it is the deterministic work measure used by benchmarks.
 
 from __future__ import annotations
 
-from .hashing import Fingerprint, HashConfig, fp_empty
+from itertools import accumulate
+from operator import mul
+
+from .hashing import Fingerprint, HashConfig, fp_concat, fp_empty
 
 
 class _Node:
@@ -373,3 +376,82 @@ class AvlGrammar:
             assert (s.height, s.length, s.hash, s.pow) == got
             node = s
         assert self.root is node
+
+
+class Probe:
+    """content[start:start+glen) of a grammar followed by a raw tail, as the
+    length/fp/symbol_at probe that searches and LCPs read.
+
+    The streaming engine's lookahead ("carry") is one: an occurrence in the
+    parsed prefix of what the last search certified, plus freshly read
+    symbols.  A trie insert reads its string through one with an empty tail.
+    The last grammar symbol read is kept: insert re-reads, as the new leaf's
+    key, the symbol that locate found no child for.
+    """
+
+    __slots__ = ("g", "cfg", "start", "glen", "length", "_gfp", "_q", "_sym",
+                 "_tail", "_th", "_dpow", "_dinvpow", "_dinv", "_toff")
+
+    def __init__(self, g: AvlGrammar, start: int = 0, length: int = 0):
+        self.g = g
+        self.cfg = cfg = g.cfg
+        self._dinv = pow(cfg.delta, cfg.p - 2, cfg.p)
+        # delta^i and delta^-i, grown to the longest tail seen
+        self._dpow = [1]
+        self._dinvpow = [1]
+        self.rebase(start, length, [])
+
+    def _tail_fp(self, t: int) -> Fingerprint:
+        a = self._toff
+        h = (self._th[a + t] - self._th[a]) * self._dinvpow[a] % self.cfg.p
+        return Fingerprint(h, self._dpow[t], t)
+
+    def fp(self, q: int) -> Fingerprint:
+        if q <= self.glen:
+            return self.g.substring_fp(self.start, self.start + q)
+        tail_fp = self._tail_fp(q - self.glen)
+        if self.glen == 0:
+            return tail_fp
+        if self._gfp is None:
+            self._gfp = self.g.substring_fp(self.start, self.start + self.glen)
+        return fp_concat(self.cfg, self._gfp, tail_fp)
+
+    def symbol_at(self, q: int) -> int:
+        if q >= self.glen:
+            return self._tail[self._toff + q - self.glen]
+        if q != self._q:
+            self._q, self._sym = q, self.g.symbol_at(self.start + q)
+        return self._sym
+
+    def rebase(self, start: int, length: int, tail: list) -> None:
+        """Read content[start:start+length) followed by tail (which the probe
+        takes over)."""
+        self.start = start
+        self.glen = length
+        self.length = length + len(tail)
+        self._gfp: Fingerprint | None = None
+        self._q = -1
+        # logical tail = _tail[_toff:]; _th holds rolling prefix hashes of
+        # _tail from its absolute start, left unreduced mod p until read;
+        # delta^-_toff undoes the dropped prefix
+        self._tail = tail
+        self._toff = 0
+        cfg = self.cfg
+        dpow, dinvpow = self._dpow, self._dinvpow
+        while len(dpow) <= len(tail):
+            dpow.append(dpow[-1] * cfg.delta % cfg.p)
+            dinvpow.append(dinvpow[-1] * self._dinv % cfg.p)
+        self._th = [0]
+        self._th += accumulate(map(mul, tail, dpow))
+
+    def consume(self, k: int) -> None:
+        """Drop the first k symbols (they were just parsed and appended)."""
+        self.length -= k
+        self._gfp = None
+        self._q = -1
+        if k <= self.glen:
+            self.start += k
+            self.glen -= k
+            return
+        self._toff += k - self.glen
+        self.glen = 0

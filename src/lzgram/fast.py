@@ -18,12 +18,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from itertools import accumulate, islice
-from operator import mul
+from itertools import islice
 
-from .avlgrammar import AvlGrammar
-from .hashing import MERSENNE61, Fingerprint, HashConfig, fp_concat
-from .model import Literal, Parsing, Scheme, greedy_parse, spelled_expansions
+from .avlgrammar import AvlGrammar, Probe
+from .hashing import MERSENNE61, HashConfig
+from .model import Literal, Parsing, Scheme, greedy_parse, phrase_ends
 from .ztrie import ZTrie
 
 
@@ -72,81 +71,6 @@ class BlockReader:
         return out
 
 
-class _Carry:
-    """The unconsumed lookahead, exposed as a fingerprint/symbol probe.
-
-    Content is an interval of the already-parsed prefix (everything the last
-    search certified to lie on a trie path) plus a raw tail of at most one
-    block of freshly read symbols.  Prefix fingerprints compose the interval's
-    grammar fingerprint with rolling hashes of the tail.
-    """
-
-    __slots__ = ("g", "cfg", "occ_start", "occ_len", "length", "_occ_fp",
-                 "_tail", "_th", "_dpow", "_dinvpow", "_dinv", "_toff")
-
-    def __init__(self, cfg: HashConfig, g: AvlGrammar):
-        self.cfg = cfg
-        self.g = g
-        self._dinv = pow(cfg.delta, cfg.p - 2, cfg.p)
-        # delta^i and delta^-i, grown to the longest block seen
-        self._dpow = [1]
-        self._dinvpow = [1]
-        self.rebase(0, 0, [])
-
-    def _tail_fp(self, t: int) -> Fingerprint:
-        a = self._toff
-        h = (self._th[a + t] - self._th[a]) * self._dinvpow[a] % self.cfg.p
-        return Fingerprint(h, self._dpow[t], t)
-
-    def fp(self, q: int) -> Fingerprint:
-        if q <= self.occ_len:
-            return self.g.substring_fp(self.occ_start, self.occ_start + q)
-        tail_fp = self._tail_fp(q - self.occ_len)
-        if self.occ_len == 0:
-            return tail_fp
-        if self._occ_fp is None:
-            self._occ_fp = self.g.substring_fp(self.occ_start,
-                                               self.occ_start + self.occ_len)
-        return fp_concat(self.cfg, self._occ_fp, tail_fp)
-
-    def symbol_at(self, q: int) -> int:
-        if q < self.occ_len:
-            return self.g.symbol_at(self.occ_start + q)
-        return self._tail[self._toff + q - self.occ_len]
-
-    def rebase(self, start: int, length: int, block: list) -> None:
-        """Replace the whole carry by content[start:start+length) followed
-        by the freshly read block (which the carry takes over)."""
-        self.occ_start = start
-        self.occ_len = length
-        self.length = length + len(block)
-        self._occ_fp: Fingerprint | None = None
-        # logical tail = _tail[_toff:]; _th holds rolling prefix hashes of
-        # _tail from its absolute start, left unreduced mod p until read;
-        # delta^-_toff undoes the dropped prefix
-        self._tail = block
-        self._toff = 0
-        p = self.cfg.p
-        dpow, dinvpow = self._dpow, self._dinvpow
-        while len(dpow) <= len(block):
-            dpow.append(dpow[-1] * self.cfg.delta % p)
-            dinvpow.append(dinvpow[-1] * self._dinv % p)
-        self._th = [0]
-        self._th += accumulate(map(mul, block, dpow))
-
-    def consume(self, k: int) -> None:
-        """Drop the first k symbols (they were just parsed and appended)."""
-        self.length -= k
-        if k <= self.occ_len:
-            self.occ_start += k
-            self.occ_len -= k
-            self._occ_fp = None
-            return
-        self._toff += k - self.occ_len
-        self.occ_len = 0
-        self._occ_fp = None
-
-
 @dataclass(frozen=True)
 class FastStats:
     symbols_read: int
@@ -177,7 +101,7 @@ class _Engine:
         self.reader = reader
         self.g = AvlGrammar(cfg)
         self.trie = ZTrie(self.g)
-        self.carry = _Carry(cfg, self.g)
+        self.carry = Probe(self.g)
         self.searches = 0
         self.parts = 0
         # part start -> (node, lcp) of its search, for the last two parts:
@@ -266,7 +190,7 @@ def parse_las_vegas_detailed(make_reader, scheme: Scheme, seed: int = 0,
     for attempt in range(1, max_attempts + 1):
         cfg = HashConfig(p=p, delta=rng.randrange(1, p))
         res = parse_fast(make_reader(), scheme, cfg=cfg)
-        if spelled_expansions(tuple(make_reader()), res.parsing) is not None:
+        if phrase_ends(tuple(make_reader()), res.parsing) is not None:
             return replace(res, attempts=attempt)
     raise RuntimeError(f"no verified parsing after {max_attempts} attempts")
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from itertools import accumulate, chain
 
 MAX_SYMBOL = 1 << 32
 
@@ -321,7 +321,7 @@ def phrase_lengths(parsing: Parsing) -> list[int]:
     """Expansion length of every phrase, without materializing anything.
 
     A malformed parsing can describe expansions exponentially longer than any
-    source text; verifiers must reject on lengths before expanding.
+    source text; this measures them without building them.
     """
     return _fold_phrases(_phrase_parts(parsing), _length)
 
@@ -330,21 +330,35 @@ def expand_parsing(parsing: Parsing) -> tuple:
     return tuple(chain.from_iterable(phrase_expansions(parsing)))
 
 
-def spelled_expansions(symbols: tuple, parsing: Parsing) -> list | None:
-    """The parsing's phrase expansions if they spell exactly the symbols,
-    else None (also for a malformed parsing)."""
-    if parsing.source_length != len(symbols):
+def phrase_ends(symbols: tuple, parsing: Parsing) -> list | None:
+    """End offsets of the phrases if they spell exactly the symbols, else
+    None (also for a malformed parsing).  Nothing is expanded: a cited
+    phrase is compared with the symbols it was already found to spell."""
+    n = len(symbols)
+    if parsing.source_length != n:
         return None
+    ends = [0]  # ends[j]: where phrase j ends (phrase 0 is empty)
+    pos = 0
     try:
-        parts = list(_phrase_parts(parsing))
+        for parts in _phrase_parts(parsing):
+            for part in parts:
+                if part is None:
+                    break
+                if isinstance(part, Literal):
+                    if pos == n or symbols[pos] != part.symbol:
+                        return None
+                    pos += 1
+                else:
+                    a, b = ends[part - 1], ends[part]
+                    end = pos + b - a
+                    # past the text the slice is short, so never equal
+                    if symbols[pos:end] != symbols[a:b]:
+                        return None
+                    pos = end
+            ends.append(pos)
     except GrammarError:
         return None
-    if sum(_fold_phrases(parts, _length)) != len(symbols):
-        return None
-    exps = _fold_phrases(parts, _expansion)
-    if tuple(chain.from_iterable(exps)) != symbols:
-        return None
-    return exps
+    return ends[1:] if pos == n else None
 
 
 def verify_parsing(text: Text, parsing: Parsing, strict: bool = False) -> bool:
@@ -355,16 +369,17 @@ def verify_parsing(text: Text, parsing: Parsing, strict: bool = False) -> bool:
     An LZD parsing must equal it: a one-symbol part is always a Literal, and
     a longer part can cite only the one non-final phrase that spells it.  An
     LZMW phrase may cite either of two adjacent equal pair strings, so there
-    expansions are compared phrase by phrase.
+    phrase end offsets are compared: both parsings spell the text, so equal
+    ends mean equal phrases.
     """
-    exps = spelled_expansions(text.symbols, parsing)
-    if exps is None:
+    ends = phrase_ends(text.symbols, parsing)
+    if ends is None:
         return False
     if strict:
         ref = parse_reference(text, parsing.scheme)
         if parsing.scheme is Scheme.LZD:
             return parsing.phrases == ref.phrases
-        return exps == phrase_expansions(ref)
+        return ends == list(accumulate(phrase_lengths(ref)))
     return True
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 
-from .avlgrammar import AvlGrammar
+from .avlgrammar import AvlGrammar, Probe
 
 
 def two_fattest(a: int, b: int) -> int:
@@ -181,33 +181,6 @@ class MarkedAncestorIndex:
 
 
 # ---------------------------------------------------------------------------
-# the grammar-interval probe
-
-class _Interval:
-    """Probe over content[start:end) of the grammar.
-
-    It keeps the last symbol read: insert re-reads, as the new leaf's key,
-    the symbol that locate found no child for.
-    """
-
-    __slots__ = ("g", "start", "length", "_q", "_sym")
-
-    def __init__(self, g: AvlGrammar, start: int, end: int):
-        self.g = g
-        self.start = start
-        self.length = end - start
-        self._q = -1
-
-    def fp(self, q: int):
-        return self.g.substring_fp(self.start, self.start + q)
-
-    def symbol_at(self, q: int) -> int:
-        if q != self._q:
-            self._q, self._sym = q, self.g.symbol_at(self.start + q)
-        return self._sym
-
-
-# ---------------------------------------------------------------------------
 # the trie
 
 class _TrieNode:
@@ -234,6 +207,7 @@ class ZTrie:
 
     def __init__(self, g: AvlGrammar):
         self.g = g
+        self._probe = Probe(g)  # one per trie: it computes delta^-1 once
         self.om = OrderList()
         self.ma = MarkedAncestorIndex()
         self.table: dict = {}
@@ -278,7 +252,8 @@ class ZTrie:
         """
         if not 0 <= start < end <= self.g.length:
             raise ValueError(f"insert range [{start},{end}) outside content")
-        probe = _Interval(self.g, start, end)
+        probe = self._probe
+        probe.rebase(start, end - start, [])
         if at is None:
             v, m = self.locate(probe)
         else:

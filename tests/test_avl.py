@@ -6,6 +6,7 @@ import random
 import pytest
 
 from lzgram import AvlGrammar, HashConfig, fp_of
+from lzgram.avlgrammar import Probe
 
 from support import build_by_copies
 
@@ -179,3 +180,25 @@ def test_forest_under_literals_and_copies_to_the_end():
             assert all(t.height <= 1 + math.log(t.length, PHI) for t in g._trees)
             assert g.root.height <= 2 + math.log(len(model), PHI)
             assert len(g._trees) <= 1.45 * math.log2(len(model) + 2)
+
+
+def test_probe_keeps_last_grammar_symbol_until_moved():
+    # distinct symbols: every position reads a different one
+    g = AvlGrammar(HashConfig.from_seed(17))
+    for s in range(64):
+        g.append_literal(s)
+    probe = Probe(g, 10, 20)
+    assert probe.symbol_at(5) == 15
+    ops = g.ops
+    assert probe.symbol_at(5) == 15
+    assert g.ops == ops  # a repeated read costs no grammar op
+    # a stale symbol after a move would silently corrupt a parse
+    probe.rebase(30, 20, [])
+    assert probe.symbol_at(5) == 35
+    probe.consume(3)
+    assert probe.symbol_at(5) == 38
+    probe.rebase(40, 4, [99, 98])
+    assert probe.symbol_at(3) == 43
+    probe.consume(2)  # position 3 moves into the tail
+    assert probe.symbol_at(3) == 98
+    assert probe.fp(4) == fp_of(g.cfg, [42, 43, 99, 98])

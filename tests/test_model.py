@@ -1,6 +1,7 @@
 """Core model: reference parsers, expansion, verification, grammars."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -27,6 +28,8 @@ from lzgram import (
     validate_grammar,
     verify_parsing,
 )
+from lzgram.adversarial import gen_lzd_slow
+from lzgram.naive import parse_naive
 
 from support import EX1_LZD, EX1_LZMW, EX1_TEXT, random_text, register_parsing
 
@@ -138,6 +141,67 @@ def test_phrase_lengths_guard_exponential_blowup():
     assert not verify_parsing(make_text([0] * 42, 1), p)
     # Converting to a grammar validates on lengths too: O(z), not O(2^60).
     assert parsing_to_grammar(p).size() == 180
+
+
+def test_verify_expands_no_phrase():
+    # lzd-slow cites long phrases many times over: expanding every phrase
+    # takes megabytes here, comparing each with the text in place does not
+    text = gen_lzd_slow(16)
+    parsing = parse_naive(text, Scheme.LZD).parsing
+    tracemalloc.start()
+    try:
+        assert verify_parsing(text, parsing)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _corrupt(rng, parsing, sigma):
+    """The parsing with one or two random phrase edits: a part or phrase
+    replaced by a random reference (in range or not), a phrase dropped, or
+    two neighbours swapped."""
+    phrases = list(parsing.phrases)
+    for _ in range(rng.randrange(1, 3)):
+        if not phrases:
+            break
+        i = rng.randrange(len(phrases))
+        kind = rng.randrange(4)
+        if kind == 0:
+            del phrases[i]
+        elif kind == 1 and i + 1 < len(phrases):
+            phrases[i], phrases[i + 1] = phrases[i + 1], phrases[i]
+        elif parsing.scheme is Scheme.LZD:
+            ref = rng.choice([Literal(rng.randrange(sigma + 1)),
+                              PhraseIndex(rng.randrange(i + 2))])
+            ph = phrases[i]
+            if rng.random() < 0.5:
+                phrases[i] = LzdPhrase(ref, ph.second)
+            else:
+                phrases[i] = LzdPhrase(ph.first, rng.choice([ref, None]))
+        else:
+            phrases[i] = rng.choice([Literal(rng.randrange(sigma + 1)),
+                                     PairIndex(rng.randrange(i + 1))])
+    return Parsing(parsing.scheme, tuple(phrases), parsing.source_length)
+
+
+def test_verify_agrees_with_expansion_on_corrupted_parsings():
+    rng = random.Random(9091)
+    verdicts = {True: 0, False: 0}
+    for _ in range(1100):
+        sigma = rng.choice([1, 2, 3, 16])
+        t = random_text(rng, rng.randrange(1, 60), sigma)
+        for scheme in Scheme:
+            q = _corrupt(rng, parse_reference(t, scheme), sigma)
+            try:
+                # equal lengths first, so a blown-up parsing is not expanded
+                want = (sum(phrase_lengths(q)) == len(t)
+                        and expand_parsing(q) == t.symbols)
+            except GrammarError:
+                want = False
+            assert verify_parsing(t, q) is want
+            verdicts[want] += 1
+    assert verdicts[True] >= 100 and verdicts[False] >= 1000
 
 
 def test_phrase_ops_raise_on_malformed():

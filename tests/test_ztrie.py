@@ -5,7 +5,8 @@ import random
 import pytest
 
 from lzgram import AvlGrammar, HashConfig, fp_concat, fp_empty, fp_symbol
-from lzgram.ztrie import MarkedAncestorIndex, OrderList, ZTrie, _Interval, two_fattest
+from lzgram.avlgrammar import Probe
+from lzgram.ztrie import MarkedAncestorIndex, OrderList, ZTrie, two_fattest
 
 from support import build_by_copies
 
@@ -342,7 +343,7 @@ def test_lcp_lower_bound_matches_oracle():
             if rng.random() < 0.5:
                 # a grammar interval, usually sharing a prefix with the target
                 a = rng.choice([start, rng.randrange(n)])
-                probe = _Interval(g, a, rng.randrange(a + 1, n + 1))
+                probe = Probe(g, a, rng.randrange(a + 1, n + 1) - a)
                 syms = content[probe.start:probe.start + probe.length]
             else:
                 syms = content[start:start + rng.randrange(n - start + 1)]
@@ -372,7 +373,7 @@ def test_lcp_descent_on_copy_built_grammars():
             end = min(n, other + length + rng.randrange(1, 30))
             syms = content[other:end]
             if rng.random() < 0.5:
-                probe = _Interval(g, other, end)
+                probe = Probe(g, other, end - other)
             else:
                 j = rng.randrange(length // 2, len(syms))
                 syms[j] = (syms[j] + rng.randrange(1, sigma)) % sigma
