@@ -436,13 +436,14 @@ class Probe:
         # delta^-_toff undoes the dropped prefix
         self._tail = tail
         self._toff = 0
-        cfg = self.cfg
-        dpow, dinvpow = self._dpow, self._dinvpow
-        while len(dpow) <= len(tail):
-            dpow.append(dpow[-1] * cfg.delta % cfg.p)
-            dinvpow.append(dinvpow[-1] * self._dinv % cfg.p)
         self._th = [0]
-        self._th += accumulate(map(mul, tail, dpow))
+        if tail:  # none for a trie insert, which skips this set-up
+            cfg = self.cfg
+            dpow, dinvpow = self._dpow, self._dinvpow
+            while len(dpow) <= len(tail):
+                dpow.append(dpow[-1] * cfg.delta % cfg.p)
+                dinvpow.append(dinvpow[-1] * self._dinv % cfg.p)
+            self._th += accumulate(map(mul, tail, dpow))
 
     def consume(self, k: int) -> None:
         """Drop the first k symbols (they were just parsed and appended)."""
