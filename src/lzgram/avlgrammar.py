@@ -2,17 +2,19 @@
 
 The content is held as a forest of immutable height-balanced binary DAGs
 (AVL trees) whose heights strictly decrease from left to right: leaves carry
-single symbols, internal nodes concatenate their children.  Appending a copy
-of an existing range shares the old nodes, so the structure is a straight-line
-grammar whose size stays near z*log(n) while the content grows to n.  An
-append joins only the trees no taller than the new piece, as in a binary
-counter, instead of rebuilding the right spine of one tree.
+single symbols, internal nodes concatenate their children.  A caller builds
+trees with `leaf` and `concat` and appends one with `append`; appending a tree
+again shares its nodes, so the structure is a straight-line grammar whose
+size stays near z*log(n) while the content grows to n.  An append joins only
+the trees no taller than the new piece, as in a binary counter, instead of
+rebuilding the right spine of one tree.
 
 Queries see one root: a chain of spine nodes (trees[i], next) over the
 forest, refreshed in place after every append.  Spine nodes are ordinary
-nodes that are never shared, since a copy takes the trees under them.  Every
-node caches length and a composable fingerprint of its expansion, which gives
-logarithmic-time prefix fingerprints and range extraction.
+nodes that are never shared: callers append trees built from leaves, and a
+copy of a range takes the trees under a spine node.  Every node caches length
+and a composable fingerprint of its expansion, which gives logarithmic-time
+prefix fingerprints and range extraction.
 
 All ranges are 0-based half-open.  The `ops` counter tallies node visits and
 node constructions; it is the deterministic work measure used by benchmarks.
@@ -53,7 +55,8 @@ class AvlGrammar:
 
     # -- node constructors ---------------------------------------------------
 
-    def _leaf(self, sym: int) -> _Node:
+    def leaf(self, sym: int) -> _Node:
+        """A one-symbol tree."""
         self.ops += 1
         p = self.cfg.p
         return _Node(sym, None, None, 1, 1, sym % p, self.cfg.delta % p)
@@ -79,7 +82,9 @@ class AvlGrammar:
             return self._mk(self._mk(l.left, lr.left), self._mk(lr.right, r))
         return self._mk(l, r)
 
-    def _join(self, a: _Node | None, b: _Node | None) -> _Node | None:
+    def concat(self, a: _Node | None, b: _Node | None) -> _Node | None:
+        """The tree spelling a then b (None spells nothing); it shares their
+        nodes, so a and b stay valid."""
         if a is None:
             return b
         if b is None:
@@ -87,8 +92,8 @@ class AvlGrammar:
         if abs(a.height - b.height) <= 1:
             return self._mk(a, b)
         if a.height > b.height:
-            return self._bal(a.left, self._join(a.right, b))
-        return self._bal(self._join(a, b.left), b.right)
+            return self._bal(a.left, self.concat(a.right, b))
+        return self._bal(self.concat(a, b.left), b.right)
 
     # -- appends ---------------------------------------------------------
 
@@ -99,10 +104,10 @@ class AvlGrammar:
         trees = self._trees
         acc = None
         while trees and trees[-1].height <= x.height:
-            acc = self._join(trees.pop(), acc)
-        x = self._join(acc, x)
+            acc = self.concat(trees.pop(), acc)
+        x = self.concat(acc, x)
         while trees and trees[-1].height <= x.height:
-            x = self._join(trees.pop(), x)
+            x = self.concat(trees.pop(), x)
         trees.append(x)
 
     def _refresh(self) -> None:
@@ -128,12 +133,17 @@ class AvlGrammar:
         self.ops += k - 1
         self.root = node
 
-    def append_literal(self, sym: int) -> None:
-        self._push(self._leaf(sym))
+    def append(self, x: _Node) -> None:
+        """Append the tree x, made by leaf or concat (never a spine node)."""
+        self._push(x)
         self._refresh()
 
+    def append_literal(self, sym: int) -> None:
+        self.append(self.leaf(sym))
+
     def append_copy(self, start: int, end: int) -> None:
-        """Append a copy of current content[start:end]."""
+        """Append a copy of current content[start:end) (the streaming engine
+        appends each phrase's tree instead)."""
         if not 0 <= start <= end <= self.length:
             raise ValueError(f"copy range [{start},{end}) outside content")
         if start == end:
@@ -246,9 +256,11 @@ class AvlGrammar:
         self.ops += ops
         return node.sym
 
-    def common_prefix(self, probe, start: int, max_len: int, lo: int = 0) -> int:
+    def common_prefix(self, probe, start: int, max_len: int, lo: int = 0,
+                      full: int | None = None) -> int:
         """Longest common prefix of the probe's string and
-        content[start:start+max_len), the first lo symbols known to match.
+        content[start:start+max_len), the first lo symbols known to match;
+        full, if given, is the hash of that whole range.
 
         One full-length fingerprint comparison, then, if it fails, one
         descent from the known prefix on, exact w.h.p.: at each node whose
@@ -263,7 +275,10 @@ class AvlGrammar:
         if hi <= lo:
             return lo
         end = start + hi
-        if probe.fp(hi) == self.substring_fp(start, end):
+        # equal lengths make equal pows: the hashes decide
+        if full is None or hi < max_len:
+            full = self.substring_fp(start, end).hash
+        if probe.fp(hi).hash == full:
             return hi
         p = self.cfg.p
         h, pw, _ = probe.fp(lo)

@@ -5,7 +5,9 @@ sync: an append-only balanced grammar holding the parsed prefix, a
 fingerprint-indexed trie over the dictionary strings, and the unconsumed
 lookahead ("carry").  Greedy matches are found by fingerprint search instead
 of symbol-by-symbol descent, so each part costs polylog work beyond the
-symbols read.
+symbols read.  Every dictionary phrase is one grammar tree, the two trees of
+its parts joined, so a part is appended by pushing its phrase's tree, and the
+grammar spells the parsing even where a collision made the parsing wrong.
 
 The core is Monte-Carlo: fingerprint collisions can produce a wrong parsing
 (never a crash).  `parse_las_vegas` re-reads the input to verify the result
@@ -104,6 +106,10 @@ class _Engine:
         self.carry = Probe(self.g)
         self.searches = 0
         self.parts = 0
+        # payload -> the tree spelling it, or, until its first use as a part
+        # joins them, the pair of its parts' trees
+        self._trees: dict = {}
+        self._last = (None, None)  # the trees of the last two parts
         # part start -> (node, lcp) of its search, for the last two parts:
         # the phrase a later add() enters starts with one of them
         self._loci: dict = {}
@@ -133,35 +139,49 @@ class _Engine:
         if len(loci) > 2:
             del loci[min(loci)]
         w = trie.nearest_marked(v, m)
+        trees = self._trees
         if w is None:
             # only a fresh symbol has no marked prefix (w.h.p.); were a
             # collision to hide a seen one, insert would just re-mark it
-            sym = carry.symbol_at(0)
-            self.g.append_literal(sym)
-            trie.insert(pos, pos + 1, Literal(sym), at=(trie.root, 0))
-            part, plen = Literal(sym), 1
+            part, plen = Literal(carry.symbol_at(0)), 1
+            tree = trees[part] = self.g.leaf(part.symbol)
+            self.g.append(tree)
+            trie.insert(pos, pos + 1, part, at=(trie.root, 0), h=tree.hash)
         else:
             part, plen = w.payload, w.depth
-            self.g.append_copy(w.ell, w.ell + plen)
+            tree = trees[part]
+            if type(tree) is tuple:
+                tree = trees[part] = self.g.concat(*tree)
+            self.g.append(tree)
+        self._last = (self._last[1], tree)
         carry.consume(plen)
         self.parts += 1
         return part, plen
 
     def add(self, start: int, end: int, ref) -> None:
-        """Enter the phrase content[start:end) at the locus its first part's
-        search found; that string starts with the phrase."""
-        self.trie.insert(start, end, ref, at=self._loci[start])
+        """Enter the phrase content[start:end), the last two parts, at the
+        locus its first part's search found; that string starts with the
+        phrase.  Its hash comes from its parts' trees."""
+        a, b = self._trees[ref] = self._last
+        h = (a.hash + a.pow * b.hash) % self.g.cfg.p
+        self.trie.insert(start, end, ref, at=self._loci[start], h=h)
 
     def stats(self) -> FastStats:
+        """The run's counters; this ends the engine.  The trie, carry and
+        phrase trees go before the grammar walk behind grammar_nodes, so
+        that walk does not set the run's peak memory."""
+        trie_ops, ma_ops = self.trie.ops, self.trie.ma.ops
+        trie_nodes = self.trie.node_count()
+        self.trie = self.carry = self._trees = self._loci = self._last = None
         return FastStats(
             symbols_read=self.reader.delivered,
             blocks_read=self.reader.blocks_read,
             searches=self.searches,
             parts=self.parts,
             grammar_ops=self.g.ops,
-            trie_ops=self.trie.ops,
-            ma_ops=self.trie.ma.ops,
-            trie_nodes=self.trie.node_count(),
+            trie_ops=trie_ops,
+            ma_ops=ma_ops,
+            trie_nodes=trie_nodes,
             grammar_nodes=self.g.reachable_nodes(),
         )
 

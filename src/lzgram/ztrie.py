@@ -184,13 +184,14 @@ class MarkedAncestorIndex:
 # the trie
 
 class _TrieNode:
-    __slots__ = ("parent", "depth", "ell", "children", "payload",
+    __slots__ = ("parent", "depth", "ell", "hash", "children", "payload",
                  "open_item", "close_item")
 
-    def __init__(self, parent, depth, ell):
+    def __init__(self, parent, depth, ell, hash_):
         self.parent = parent
         self.depth = depth
         self.ell = ell
+        self.hash = hash_  # of its string, content[ell:ell+depth)
         self.children = {}
         self.payload = None
         self.open_item = None
@@ -203,6 +204,8 @@ class ZTrie:
     Every non-root node owns one hash-table key: the fingerprint of its
     string's prefix at the two-fattest length of its depth span.  Edge splits
     migrate keys so the mapping stays exact (up to fingerprint collisions).
+    Every node also keeps the hash of its whole string, which an LCP against
+    it compares first.
     """
 
     def __init__(self, g: AvlGrammar):
@@ -213,7 +216,7 @@ class ZTrie:
         self.table: dict = {}
         self.ops = 0
         self.max_depth = 0  # no table key is longer
-        root = _TrieNode(None, 0, 0)
+        root = _TrieNode(None, 0, 0, 0)
         root.open_item = self.om.insert_first()
         root.close_item = self.om.insert_after(root.open_item)
         self.root = root
@@ -224,17 +227,20 @@ class ZTrie:
 
     def _register(self, node: _TrieNode) -> None:
         f = two_fattest(node.parent.depth, node.depth)
-        fp = self.g.substring_fp(node.ell, node.ell + f)
-        self.table[(f, fp.hash)] = node
+        if f < node.depth:
+            h = self.g.substring_fp(node.ell, node.ell + f).hash
+        else:
+            h = node.hash
+        self.table[(f, h)] = node
 
-    def _new_leaf(self, parent, depth, ell) -> _TrieNode:
+    def _new_leaf(self, parent, depth, ell, hash_) -> _TrieNode:
         """New childless node; its Euler interval nests just inside parent's.
         A marked parent getting its first child enters the index."""
         if parent.payload is not None and not parent.children:
             self.ma.enter(parent)
         if depth > self.max_depth:
             self.max_depth = depth
-        node = _TrieNode(parent, depth, ell)
+        node = _TrieNode(parent, depth, ell, hash_)
         node.open_item = self.om.insert_after(parent.close_item.prev)
         node.close_item = self.om.insert_after(node.open_item)
         self._nodes += 1
@@ -242,8 +248,10 @@ class ZTrie:
 
     # -- insertion ---------------------------------------------------------
 
-    def insert(self, start: int, end: int, payload, at=None) -> _TrieNode:
+    def insert(self, start: int, end: int, payload, at=None,
+               h: int | None = None) -> _TrieNode:
         """Insert content[start:end) as a dictionary string; returns its node.
+        h, if given, is the string's hash; a new leaf keeps it.
 
         The first payload given for a string stays; payloads are never None.
         The string is found by `locate`, or from `at`: the (node, lcp) that
@@ -269,7 +277,9 @@ class ZTrie:
         if m < v.depth:
             v = self._split(v, m)
         if m < probe.length:
-            leaf = self._new_leaf(v, probe.length, start)
+            if h is None:
+                h = self.g.substring_fp(start, end).hash
+            leaf = self._new_leaf(v, probe.length, start, h)
             v.children[probe.symbol_at(m)] = leaf
             self._register(leaf)
             v = leaf
@@ -283,7 +293,10 @@ class ZTrie:
         """Split the edge into c at depth mid_depth, returning the new middle
         node."""
         v = c.parent
-        mid = _TrieNode(v, mid_depth, c.ell)
+        # the split point's own string, not the inserted one: they differ
+        # when a fingerprint collision led the search here
+        mid = _TrieNode(v, mid_depth, c.ell,
+                        self.g.substring_fp(c.ell, c.ell + mid_depth).hash)
         mid.open_item = self.om.insert_after(c.open_item.prev)
         mid.close_item = self.om.insert_after(c.close_item)
         self._nodes += 1
@@ -294,15 +307,12 @@ class ZTrie:
         v.children[key] = mid
         mid.children[self.g.symbol_at(c.ell + mid_depth)] = c
         c.parent = mid
-        # migrate c's search key: its depth span shrank from (v.depth, c.depth]
-        # to (mid_depth, c.depth]
-        f_old = two_fattest(v.depth, c.depth)
-        if f_old <= mid_depth:
-            fp = self.g.substring_fp(c.ell, c.ell + f_old)
-            self.table[(f_old, fp.hash)] = mid
+        # c's depth span shrank from (v.depth, c.depth] to (mid_depth, c.depth]:
+        # if that drops its key's length, the key is mid's now (mid's string
+        # is a prefix of c's) and c takes a new one
+        self._register(mid)
+        if two_fattest(v.depth, c.depth) <= mid_depth:
             self._register(c)
-        else:
-            self._register(mid)
         return mid
 
     # -- search ------------------------------------------------------------
@@ -344,7 +354,7 @@ class ZTrie:
         # climb until the probe demonstrably reaches v's edge; a given locus
         # is on its edge already, so its first LCP, finishing it, ends this
         while v.parent is not None:
-            m = self.g.common_prefix(probe, v.ell, v.depth, m)
+            m = self.g.common_prefix(probe, v.ell, v.depth, m, v.hash)
             if m > v.parent.depth:
                 break
             v, m = v.parent, 0
@@ -354,7 +364,7 @@ class ZTrie:
             if c is None:
                 break
             self.ops += 1
-            m2 = self.g.common_prefix(probe, c.ell, c.depth)
+            m2 = self.g.common_prefix(probe, c.ell, c.depth, 0, c.hash)
             if m2 <= v.depth:
                 break
             v, m = c, m2

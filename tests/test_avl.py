@@ -202,3 +202,76 @@ def test_probe_keeps_last_grammar_symbol_until_moved():
     probe.consume(2)  # position 3 moves into the tail
     assert probe.symbol_at(3) == 98
     assert probe.fp(4) == fp_of(g.cfg, [42, 43, 99, 98])
+
+
+def expand(node):
+    out = []
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if node.sym is not None:
+            out.append(node.sym)
+        else:
+            stack.append(node.right)
+            stack.append(node.left)
+    return tuple(out)
+
+
+def assert_avl(node):
+    """Balanced at every node; returns the height."""
+    if node.sym is not None:
+        return 1
+    hl, hr = assert_avl(node.left), assert_avl(node.right)
+    assert abs(hl - hr) <= 1
+    assert node.height == max(hl, hr) + 1
+    return node.height
+
+
+def test_concat_spells_a_then_b():
+    # phrase trees as the engine builds them: leaves, and concatenations of
+    # earlier trees, many of them far apart in height
+    rng = random.Random(8128)
+    cfg = HashConfig.from_seed(8128)
+    g = AvlGrammar(cfg)
+    trees = [(g.leaf(s), (s,)) for s in range(4)]
+    assert g.concat(None, trees[0][0]) is trees[0][0]
+    assert g.concat(trees[1][0], None) is trees[1][0]
+    for _ in range(400):
+        (a, sa), (b, sb) = rng.choice(trees), rng.choice(trees[-20:])
+        t = g.concat(a, b)
+        assert expand(t) == sa + sb
+        assert (t.hash, t.pow, t.length) == fp_of(cfg, sa + sb)
+        assert_avl(t)
+        assert expand(a) == sa and expand(b) == sb  # shared, not changed
+        if len(sa) + len(sb) <= 2000:
+            trees.append((t, sa + sb))
+    assert g.length == 0  # building trees appends nothing
+
+
+def test_appending_concatenated_trees():
+    # literals, fresh concatenations and trees appended before, which the
+    # grammar then shares; validate() also checks that no spine node is
+    # below a tree node
+    rng = random.Random(1729)
+    for _ in range(6):
+        cfg = HashConfig.from_seed(rng.randrange(1 << 30))
+        g = AvlGrammar(cfg)
+        model: list[int] = []
+        trees = []
+        for _ in range(150):
+            r = rng.random()
+            if not trees or r < 0.3:
+                s = rng.randrange(3)
+                t, st = g.leaf(s), (s,)
+            elif r < 0.7:
+                (a, sa), (b, sb) = rng.choice(trees), rng.choice(trees)
+                t, st = g.concat(a, b), sa + sb
+            else:
+                t, st = rng.choice(trees)
+            g.append(t)
+            model.extend(st)
+            if len(st) <= 2000:
+                trees.append((t, st))
+            g.validate()
+            assert g.to_symbols() == tuple(model)
+            assert g.substring_fp(0, len(model)) == fp_of(cfg, model)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,7 @@ from lzgram import (
     BlockReader,
     HashConfig,
     Scheme,
+    expand_parsing,
     make_text,
     parse_fast,
     parse_las_vegas,
@@ -18,6 +20,8 @@ from lzgram import (
     parse_reference,
 )
 from lzgram.adversarial import FAMILIES, binary_reduce, gen_lzd_slow
+from lzgram.fast import _Engine
+from lzgram.model import greedy_parse
 
 from support import EX1_LZD, EX1_LZMW, EX1_TEXT, random_text, register_parsing
 
@@ -199,10 +203,10 @@ def test_slow_family_k16_agreement():
 # structures change; the other five fields are fixed by the parsing and the
 # block reader.
 PINNED_FAST_STATS = {
-    "lzd-slow": (13123, 67, 885, 818, 64979, 4970, 4800, 654, 2325),
-    "lzmw-slow": (7870, 47, 694, 647, 50960, 3549, 5361, 914, 1627),
-    "random-lzd": (1200, 10, 492, 482, 21279, 1631, 1228, 291, 760),
-    "random-lzmw": (1200, 10, 448, 438, 25785, 1519, 1858, 541, 791),
+    "lzd-slow": (13123, 67, 885, 818, 36141, 4970, 4800, 654, 1961),
+    "lzmw-slow": (7870, 47, 694, 647, 29787, 3549, 5361, 914, 1523),
+    "random-lzd": (1200, 10, 492, 482, 8526, 1631, 1228, 291, 610),
+    "random-lzmw": (1200, 10, 448, 438, 11934, 1519, 1858, 541, 586),
 }
 
 
@@ -217,3 +221,67 @@ def test_fast_stats_pinned():
     for name, (text, scheme) in runs.items():
         stats = parse_fast(text, scheme, seed=0).stats
         assert dataclasses.astuple(stats) == PINNED_FAST_STATS[name], name
+
+
+def engine_parse(syms, scheme, cfg):
+    """Run the engine without stats(), which retires its trie."""
+    eng = _Engine(BlockReader(syms), cfg)
+    return eng, greedy_parse(scheme, eng.next_part, eng.add)
+
+
+def collision_corpus(rng, texts):
+    """Short texts over small alphabets, parsed below at small moduli, where
+    fingerprint collisions are frequent."""
+    for trial in range(texts):
+        syms = tuple(rng.randrange(rng.randrange(2, 5))
+                     for _ in range(rng.randrange(20, 301)))
+        for scheme in Scheme:
+            yield trial, syms, scheme
+
+
+def test_grammar_spells_the_parsing_under_collisions():
+    # every part appends its phrase's tree, so the grammar holds the parsing's
+    # expansion even where a collision made the parsing wrong; a copy of the
+    # trie node's interval would hold whatever that interval spells
+    wrong = 0
+    for trial, syms, scheme in collision_corpus(random.Random(4711), 400):
+        for p in (31, 251):
+            eng, parsing = engine_parse(syms, scheme,
+                                        HashConfig.from_seed(trial, p))
+            assert eng.g.to_symbols() == expand_parsing(parsing), (trial, p)
+            wrong += parsing != parse_reference(make_text(syms), scheme)
+    assert wrong > 0  # the moduli are small enough to make collisions
+
+
+def trie_nodes(trie):
+    stack = [trie.root]
+    while stack:
+        v = stack.pop()
+        yield v
+        stack.extend(v.children.values())
+
+
+def test_cached_trie_hashes_are_exact():
+    rng = random.Random(1618)
+    for trial, syms, scheme in collision_corpus(rng, 100):
+        for p in (MERSENNE61, 31):
+            eng, _ = engine_parse(syms, scheme, HashConfig.from_seed(trial, p))
+            g = eng.g
+            for v in trie_nodes(eng.trie):
+                assert v.hash == g.substring_fp(v.ell, v.ell + v.depth).hash
+
+
+def test_stats_walk_stays_under_the_parse_peak():
+    # grammar_nodes walks the whole grammar; stats() drops the trie, carry
+    # and phrase trees first, so the walk does not set the run's peak
+    gen, scheme, _ = FAMILIES["lzmw-slow"]
+    text = gen(16)
+    tracemalloc.start()
+    try:
+        eng, _ = engine_parse(text.symbols, scheme, HashConfig.from_seed(0))
+        parse_peak = tracemalloc.get_traced_memory()[1]
+        eng.stats()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.02 * parse_peak

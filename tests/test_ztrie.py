@@ -530,3 +530,27 @@ def test_index_and_search_bound_after_every_insert():
                            default=None)
                 w = trie.nearest_marked(node, m)
                 assert (w.depth if w is not None else None) == best
+
+
+def test_node_hashes_after_plain_inserts():
+    # without a caller's hash, a new leaf hashes its string and a split node
+    # its own prefix; the table keys agree with them where the key length is
+    # the node's depth
+    rng = random.Random(2357)
+    for _ in range(30):
+        sigma = rng.choice([2, 3])
+        n = rng.randrange(10, 120)
+        content = [rng.randrange(sigma) for _ in range(n)]
+        cfg = HashConfig.from_seed(rng.randrange(1 << 30))
+        intervals = []
+        for _ in range(rng.randrange(1, 30)):
+            start = rng.randrange(n)
+            intervals.append((start, rng.randrange(start + 1, min(n, start + 16) + 1)))
+        g, trie = build_trie(cfg, content, intervals)
+        stack = [trie.root]
+        while stack:
+            v = stack.pop()
+            stack.extend(v.children.values())
+            assert v.hash == g.substring_fp(v.ell, v.ell + v.depth).hash
+            if v.parent is not None and two_fattest(v.parent.depth, v.depth) == v.depth:
+                assert trie.table[(v.depth, v.hash)] is v
