@@ -2,8 +2,9 @@
 
 Exit codes: 0 success / verification passed, 1 runtime failure (I/O,
 verification mismatch), 2 usage or malformed input.  The fingerprint
-modulus can be overridden with the LZGRAM_MODULUS environment variable,
-which exists to make hash collisions observable at tiny moduli.
+modulus can be overridden with the LZGRAM_MODULUS environment variable, a
+prime in [3, 2^64), which exists to make hash collisions observable at tiny
+moduli.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .adversarial import FAMILIES, ParameterError
 from .bench import CSV_HEADER, PARSERS, fit_csv, run_bench
 from .formats import (FormatError, read_parsing_file, read_text_file,
                       write_parsing_file, write_text_file)
-from .hashing import MERSENNE61
+from .hashing import MERSENNE61, HashConfig
 from .model import Scheme, verify_parsing
 
 MODULUS_ENV = "LZGRAM_MODULUS"
@@ -36,13 +37,10 @@ def _modulus() -> int:
     if raw is None:
         return MERSENNE61
     try:
-        p = int(raw)
+        return HashConfig(p=int(raw)).p
     except ValueError:
-        raise CliError(f"{MODULUS_ENV} must be an integer, got {raw!r}",
-                       _USAGE_ERROR) from None
-    if p < 3:
-        raise CliError(f"{MODULUS_ENV} must be >= 3", _USAGE_ERROR)
-    return p
+        raise CliError(f"{MODULUS_ENV} must be a prime in [3, 2^64), "
+                       f"got {raw!r}", _USAGE_ERROR) from None
 
 
 def _read_text(path: str):

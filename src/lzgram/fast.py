@@ -1,13 +1,13 @@
 """Streaming parser with near-linear work on adversarial inputs.
 
 The engine reads the input once, in blocks, and keeps three structures in
-sync: an append-only balanced grammar holding the parsed prefix, a
-fingerprint-indexed trie over the dictionary strings, and the unconsumed
-lookahead ("carry").  Greedy matches are found by fingerprint search instead
-of symbol-by-symbol descent, so each part costs polylog work beyond the
-symbols read.  Every dictionary phrase is one grammar tree, the two trees of
-its parts joined, so a part is appended by pushing its phrase's tree, and the
-grammar spells the parsing even where a collision made the parsing wrong.
+sync: a balanced grammar with one tree per dictionary phrase (a fresh
+symbol's leaf, or the two trees of its parts joined), a fingerprint-indexed
+trie whose nodes read their strings from those trees, and the unconsumed
+lookahead ("carry"), a prefix of a phrase tree followed by fresh symbols.
+Greedy matches are found by fingerprint search instead of symbol-by-symbol
+descent, so each part costs polylog work beyond the symbols read.  The parsed
+prefix itself is not kept.
 
 The core is Monte-Carlo: fingerprint collisions can produce a wrong parsing
 (never a crash).  `parse_las_vegas` re-reads the input to verify the result
@@ -106,20 +106,17 @@ class _Engine:
         self.carry = Probe(self.g)
         self.searches = 0
         self.parts = 0
-        # payload -> the tree spelling it, or, until its first use as a part
-        # joins them, the pair of its parts' trees
-        self._trees: dict = {}
-        self._last = (None, None)  # the trees of the last two parts
-        # part start -> (node, lcp) of its search, for the last two parts:
-        # the phrase a later add() enters starts with one of them
-        self._loci: dict = {}
+        self._trees: dict = {}  # payload -> the tree spelling it
+        # (tree, (node, lcp) of its search) of the last two parts, the ones
+        # the phrase a later add() enters is made of
+        self._last = (None, None)
 
     def next_part(self, pos: int):
         """Cut the next greedy part; None once the input is exhausted.
 
         Returns (part, length): part is Literal(sym) or the marked node's
-        dictionary reference.  pos is where the part starts: the length of
-        the parsed prefix, which the grammar holds.
+        dictionary reference.  pos, where the part starts, is not needed:
+        the engine names no string by its position.
         """
         carry = self.carry
         reader = self.reader
@@ -130,14 +127,10 @@ class _Engine:
         self.searches += 1
         while m == carry.length and reader.has_more():
             # whole carry certified on a trie path: re-anchor it to that
-            # path's occurrence, read more and go on from the same point
-            carry.rebase(v.ell, m, reader.read_block())
+            # node's tree, read more and go on from the same point
+            carry.rebase(v.tree, 0, m, reader.read_block())
             v, m = trie.locate(carry, at=(v, m))
             self.searches += 1
-        loci = self._loci
-        loci[pos] = (v, m)
-        if len(loci) > 2:
-            del loci[min(loci)]
         w = trie.nearest_marked(v, m)
         trees = self._trees
         if w is None:
@@ -145,34 +138,31 @@ class _Engine:
             # collision to hide a seen one, insert would just re-mark it
             part, plen = Literal(carry.symbol_at(0)), 1
             tree = trees[part] = self.g.leaf(part.symbol)
-            self.g.append(tree)
-            trie.insert(pos, pos + 1, part, at=(trie.root, 0), h=tree.hash)
+            trie.insert(tree, part, at=(trie.root, 0))
         else:
             part, plen = w.payload, w.depth
             tree = trees[part]
-            if type(tree) is tuple:
-                tree = trees[part] = self.g.concat(*tree)
-            self.g.append(tree)
-        self._last = (self._last[1], tree)
+        self._last = (self._last[1], (tree, (v, m)))
         carry.consume(plen)
         self.parts += 1
         return part, plen
 
     def add(self, start: int, end: int, ref) -> None:
-        """Enter the phrase content[start:end), the last two parts, at the
-        locus its first part's search found; that string starts with the
-        phrase.  Its hash comes from its parts' trees."""
-        a, b = self._trees[ref] = self._last
-        h = (a.hash + a.pow * b.hash) % self.g.cfg.p
-        self.trie.insert(start, end, ref, at=self._loci[start], h=h)
+        """Enter the phrase content[start:end), the last two parts, as their
+        trees joined, at the locus the first part's search found; the string
+        searched starts with the phrase."""
+        (a, locus), (b, _) = self._last
+        tree = self._trees[ref] = self.g.concat(a, b)
+        self.trie.insert(tree, ref, at=locus)
 
     def stats(self) -> FastStats:
-        """The run's counters; this ends the engine.  The trie, carry and
-        phrase trees go before the grammar walk behind grammar_nodes, so
-        that walk does not set the run's peak memory."""
+        """The run's counters; this ends the engine.  grammar_nodes counts
+        the nodes of the phrase trees, the whole grammar; the trie and carry
+        go before that walk, so it does not set the run's peak memory."""
         trie_ops, ma_ops = self.trie.ops, self.trie.ma.ops
         trie_nodes = self.trie.node_count()
-        self.trie = self.carry = self._trees = self._loci = self._last = None
+        trees = self._trees
+        self.trie = self.carry = self._trees = self._last = None
         return FastStats(
             symbols_read=self.reader.delivered,
             blocks_read=self.reader.blocks_read,
@@ -182,7 +172,7 @@ class _Engine:
             trie_ops=trie_ops,
             ma_ops=ma_ops,
             trie_nodes=trie_nodes,
-            grammar_nodes=self.g.reachable_nodes(),
+            grammar_nodes=self.g.reachable_nodes(trees.values()),
         )
 
 

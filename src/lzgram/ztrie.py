@@ -1,9 +1,9 @@
 """Fingerprint-indexed compacted trie with a nearest-marked-ancestor index.
 
-The trie stores dictionary strings as intervals into the parsed prefix held by
-an `AvlGrammar`; no string data is copied.  Lookups run a fat binary search
-over prefix lengths (probing two-fattest lengths against a hash table keyed by
-prefix fingerprints), then validate the candidate with fingerprint-driven LCP
+The trie stores each dictionary string as the `AvlGrammar` tree that spells
+it; no string data is copied.  Lookups run a fat binary search over prefix
+lengths (probing two-fattest lengths against a hash table keyed by prefix
+fingerprints), then validate the candidate with fingerprint-driven LCP
 computations.  All answers are therefore correct only with high probability;
 callers recover from collisions at a higher level.
 
@@ -184,14 +184,14 @@ class MarkedAncestorIndex:
 # the trie
 
 class _TrieNode:
-    __slots__ = ("parent", "depth", "ell", "hash", "children", "payload",
+    __slots__ = ("parent", "depth", "tree", "hash", "children", "payload",
                  "open_item", "close_item")
 
-    def __init__(self, parent, depth, ell, hash_):
+    def __init__(self, parent, depth, tree, hash_):
         self.parent = parent
         self.depth = depth
-        self.ell = ell
-        self.hash = hash_  # of its string, content[ell:ell+depth)
+        self.tree = tree  # its string is tree[0:depth) (the root has none)
+        self.hash = hash_  # of its string
         self.children = {}
         self.payload = None
         self.open_item = None
@@ -199,7 +199,7 @@ class _TrieNode:
 
 
 class ZTrie:
-    """Compacted trie over substrings of an append-only grammar's content.
+    """Compacted trie over strings spelled by prefixes of grammar trees.
 
     Every non-root node owns one hash-table key: the fingerprint of its
     string's prefix at the two-fattest length of its depth span.  Edge splits
@@ -216,7 +216,7 @@ class ZTrie:
         self.table: dict = {}
         self.ops = 0
         self.max_depth = 0  # no table key is longer
-        root = _TrieNode(None, 0, 0, 0)
+        root = _TrieNode(None, 0, None, 0)
         root.open_item = self.om.insert_first()
         root.close_item = self.om.insert_after(root.open_item)
         self.root = root
@@ -228,19 +228,20 @@ class ZTrie:
     def _register(self, node: _TrieNode) -> None:
         f = two_fattest(node.parent.depth, node.depth)
         if f < node.depth:
-            h = self.g.substring_fp(node.ell, node.ell + f).hash
+            h = self.g.substring_fp(node.tree, 0, f).hash
         else:
             h = node.hash
         self.table[(f, h)] = node
 
-    def _new_leaf(self, parent, depth, ell, hash_) -> _TrieNode:
-        """New childless node; its Euler interval nests just inside parent's.
-        A marked parent getting its first child enters the index."""
+    def _new_leaf(self, parent, tree) -> _TrieNode:
+        """New childless node spelling the whole tree; its Euler interval
+        nests just inside parent's.  A marked parent getting its first child
+        enters the index."""
         if parent.payload is not None and not parent.children:
             self.ma.enter(parent)
-        if depth > self.max_depth:
-            self.max_depth = depth
-        node = _TrieNode(parent, depth, ell, hash_)
+        if tree.length > self.max_depth:
+            self.max_depth = tree.length
+        node = _TrieNode(parent, tree.length, tree, tree.hash)
         node.open_item = self.om.insert_after(parent.close_item.prev)
         node.close_item = self.om.insert_after(node.open_item)
         self._nodes += 1
@@ -248,20 +249,18 @@ class ZTrie:
 
     # -- insertion ---------------------------------------------------------
 
-    def insert(self, start: int, end: int, payload, at=None,
-               h: int | None = None) -> _TrieNode:
-        """Insert content[start:end) as a dictionary string; returns its node.
-        h, if given, is the string's hash; a new leaf keeps it.
+    def insert(self, tree, payload, at=None) -> _TrieNode:
+        """Insert the string tree spells as a dictionary string; returns its
+        node, which is a new leaf holding the tree unless the string is
+        already a node or an edge point.
 
         The first payload given for a string stays; payloads are never None.
         The string is found by `locate`, or from `at`: the (node, lcp) that
         `locate` returned, possibly before other inserts, for a string that
         starts with this one.  At most one edge split and one new leaf follow.
         """
-        if not 0 <= start < end <= self.g.length:
-            raise ValueError(f"insert range [{start},{end}) outside content")
         probe = self._probe
-        probe.rebase(start, end - start, [])
+        probe.rebase(tree, 0, tree.length, [])
         if at is None:
             v, m = self.locate(probe)
         else:
@@ -277,9 +276,7 @@ class ZTrie:
         if m < v.depth:
             v = self._split(v, m)
         if m < probe.length:
-            if h is None:
-                h = self.g.substring_fp(start, end).hash
-            leaf = self._new_leaf(v, probe.length, start, h)
+            leaf = self._new_leaf(v, tree)
             v.children[probe.symbol_at(m)] = leaf
             self._register(leaf)
             v = leaf
@@ -295,8 +292,8 @@ class ZTrie:
         v = c.parent
         # the split point's own string, not the inserted one: they differ
         # when a fingerprint collision led the search here
-        mid = _TrieNode(v, mid_depth, c.ell,
-                        self.g.substring_fp(c.ell, c.ell + mid_depth).hash)
+        mid = _TrieNode(v, mid_depth, c.tree,
+                        self.g.substring_fp(c.tree, 0, mid_depth).hash)
         mid.open_item = self.om.insert_after(c.open_item.prev)
         mid.close_item = self.om.insert_after(c.close_item)
         self._nodes += 1
@@ -305,7 +302,7 @@ class ZTrie:
             if child is c:
                 break
         v.children[key] = mid
-        mid.children[self.g.symbol_at(c.ell + mid_depth)] = c
+        mid.children[self.g.symbol_at(c.tree, mid_depth)] = c
         c.parent = mid
         # c's depth span shrank from (v.depth, c.depth] to (mid_depth, c.depth]:
         # if that drops its key's length, the key is mid's now (mid's string
@@ -354,7 +351,7 @@ class ZTrie:
         # climb until the probe demonstrably reaches v's edge; a given locus
         # is on its edge already, so its first LCP, finishing it, ends this
         while v.parent is not None:
-            m = self.g.common_prefix(probe, v.ell, v.depth, m, v.hash)
+            m = self.g.common_prefix(probe, v.tree, 0, v.depth, m, v.hash)
             if m > v.parent.depth:
                 break
             v, m = v.parent, 0
@@ -364,7 +361,7 @@ class ZTrie:
             if c is None:
                 break
             self.ops += 1
-            m2 = self.g.common_prefix(probe, c.ell, c.depth, 0, c.hash)
+            m2 = self.g.common_prefix(probe, c.tree, 0, c.depth, 0, c.hash)
             if m2 <= v.depth:
                 break
             v, m = c, m2

@@ -1,13 +1,15 @@
-"""Shared fixtures-by-import: worked examples, corpus helpers, and the
-parsing registry that enforces dictionary distinctness on every parsing
-any test produces."""
+"""Shared fixtures-by-import: worked examples, corpus, engine and grammar
+helpers, and the parsing registry that enforces dictionary distinctness on
+every parsing any test produces."""
 
 from __future__ import annotations
 
 import random
+from functools import reduce
 
 from lzgram import (
     AvlGrammar,
+    BlockReader,
     HashConfig,
     Literal,
     LzdPhrase,
@@ -20,6 +22,8 @@ from lzgram import (
     check_lzmw_pair_distinct,
     make_text,
 )
+from lzgram.fast import _Engine
+from lzgram.model import greedy_parse
 
 # Worked example: a=0 b=1 $=2 over "abbaababaaba$".
 EX1_SYMBOLS = (0, 1, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 2)
@@ -66,23 +70,82 @@ def register_parsing(origin: str, parsing: Parsing) -> Parsing:
     return parsing
 
 
+def engine_parse(syms, scheme, cfg):
+    """Run the engine without stats(), which retires its trie."""
+    eng = _Engine(BlockReader(syms), cfg)
+    return eng, greedy_parse(scheme, eng.next_part, eng.add)
+
+
+# Grammar helpers: besides phrase trees, as the engine builds them, tests
+# build trees over whole texts and copy ranges of them.
+
+def tree_of(g, syms):
+    """The tree spelling syms (at least one), concat folded over leaves."""
+    return reduce(g.concat, map(g.leaf, syms))
+
+
+def cover(g, tree, start, end):
+    """The maximal nodes of tree whose expansions tile tree[start:end), left
+    to right (0 < end - start); only children overlapping it are visited,
+    each counted in g.ops."""
+    out = []
+    stack = [(tree, 0)]
+    while stack:
+        node, off = stack.pop()
+        g.ops += 1
+        if start <= off and off + node.length <= end:
+            out.append(node)
+            continue
+        mid = off + node.left.length
+        if mid < end:
+            stack.append((node.right, mid))
+        if start < mid:
+            stack.append((node.left, off))
+    return out
+
+
+def copy_of(g, tree, start, end):
+    """A tree spelling tree[start:end), built from the nodes that tile it."""
+    return reduce(g.concat, cover(g, tree, start, end))
+
+
+def extract(tree, start, end):
+    """Lazily yield tree[start:end), visiting O(log n) nodes per run."""
+    stack = [(tree, 0)] if end > start else []
+    while stack:
+        node, off = stack.pop()
+        if off >= end or off + node.length <= start:
+            continue
+        if node.sym is not None:
+            yield node.sym
+        else:
+            stack.append((node.right, off + node.left.length))
+            stack.append((node.left, off))
+
+
+def to_symbols(tree) -> tuple:
+    return tuple(extract(tree, 0, tree.length))
+
+
 def build_by_copies(rng, length, sigma=3):
-    """Mostly interval copies, a literal now and then: a deep, shared DAG.
-    Returns the grammar, its shadow list and the (src, dst, length) copies."""
+    """Mostly range copies, a literal now and then: a deep, shared DAG.
+    Returns the config, the grammar, the tree of the whole text, its shadow
+    list and the (src, dst, length) copies."""
     cfg = HashConfig.from_seed(rng.randrange(1 << 30))
     g = AvlGrammar(cfg)
-    model: list[int] = []
+    sym = rng.randrange(sigma)
+    root, model = g.leaf(sym), [sym]
     copies = []
     while len(model) < length:
         if len(model) < 2 or rng.random() < 0.1:
             sym = rng.randrange(sigma)
-            g.append_literal(sym)
+            root = g.concat(root, g.leaf(sym))
             model.append(sym)
             continue
         start = rng.randrange(len(model))
         end = rng.randrange(start + 1, len(model) + 1)
         end = min(end, start + length - len(model))
         copies.append((start, len(model), end - start))
-        g.append_copy(start, end)
+        root = g.concat(root, copy_of(g, root, start, end))
         model.extend(model[start:end])
-    return cfg, g, model, copies
+    return cfg, g, root, model, copies

@@ -1,230 +1,207 @@
-"""Balanced append-only grammar: shadow-model equivalence, balance, sharing."""
+"""Balanced grammar trees: shadow-model equivalence, balance, sharing."""
 
 import math
 import random
 
 import pytest
 
-from lzgram import AvlGrammar, HashConfig, fp_of
+from lzgram import AvlGrammar, HashConfig, Scheme, fp_empty, fp_of
+from lzgram.adversarial import FAMILIES
 from lzgram.avlgrammar import Probe
 
-from support import build_by_copies
+from support import (build_by_copies, copy_of, cover, engine_parse, extract,
+                     random_text, to_symbols, tree_of)
 
 
 def build_random(rng, steps, sigma=4, copy_cap=400, length_cap=6000):
+    """A tree over a text made of literals and copies of its earlier ranges."""
     cfg = HashConfig.from_seed(rng.randrange(1 << 30))
     g = AvlGrammar(cfg)
-    model: list[int] = []
-    for _ in range(steps):
-        do_copy = model and rng.random() < 0.45 and len(model) < length_cap
-        if do_copy:
+    sym = rng.randrange(sigma)
+    root, model = g.leaf(sym), [sym]
+    for _ in range(steps - 1):
+        if rng.random() < 0.45 and len(model) < length_cap:
             start = rng.randrange(len(model))
             end = min(len(model), start + rng.randrange(1, copy_cap))
-            g.append_copy(start, end)
+            root = g.concat(root, copy_of(g, root, start, end))
             model.extend(model[start:end])
         else:
             sym = rng.randrange(sigma)
-            g.append_literal(sym)
+            root = g.concat(root, g.leaf(sym))
             model.append(sym)
-    return cfg, g, model
+    return cfg, g, root, model
+
+
+def assert_avl(cfg, node, seen=None):
+    """Balanced at every node, with exact cached height, length, hash and
+    pow; nodes in seen were checked before.  Returns the height."""
+    if seen is None:
+        seen = set()
+    if node in seen:
+        return node.height
+    p = cfg.p
+    if node.sym is not None:
+        want = (1, 1, node.sym % p, cfg.delta % p)
+    else:
+        l, r = node.left, node.right
+        hl, hr = assert_avl(cfg, l, seen), assert_avl(cfg, r, seen)
+        assert abs(hl - hr) <= 1, "balance violated"
+        want = (max(hl, hr) + 1, l.length + r.length,
+                (l.hash + l.pow * r.hash) % p, l.pow * r.pow % p)
+    assert (node.height, node.length, node.hash, node.pow) == want
+    seen.add(node)
+    return node.height
 
 
 def test_empty_grammar():
     g = AvlGrammar(HashConfig.from_seed(0))
-    assert g.length == 0
-    assert g.to_symbols() == ()
-    assert g.substring_fp(0, 0).length == 0
-    assert g.reachable_nodes() == 0
-    g.validate()
+    # an empty range needs no tree: the trie root has none
+    assert g.substring_fp(None, 0, 0) == fp_empty()
+    assert g.reachable_nodes([]) == 0
+    assert g.ops == 0
 
 
 def test_matches_shadow_model():
     rng = random.Random(424242)
     for _ in range(25):
-        _, g, model = build_random(rng, 60)
-        assert g.length == len(model)
-        assert g.to_symbols() == tuple(model)
-        g.validate()
+        cfg, _, root, model = build_random(rng, 60)
+        assert root.length == len(model)
+        assert to_symbols(root) == tuple(model)
+        assert_avl(cfg, root)
 
 
 def test_symbol_at_and_extract():
     rng = random.Random(7)
-    _, g, model = build_random(rng, 80)
+    _, g, root, model = build_random(rng, 80)
     for _ in range(200):
         i = rng.randrange(len(model))
-        assert g.symbol_at(i) == model[i]
+        assert g.symbol_at(root, i) == model[i]
     for _ in range(50):
         a = rng.randrange(len(model) + 1)
         b = rng.randrange(a, min(len(model), a + 300) + 1)
-        assert tuple(g.extract(a, b)) == tuple(model[a:b])
+        assert tuple(extract(root, a, b)) == tuple(model[a:b])
 
 
 def test_substring_fingerprints_match_oracle():
     rng = random.Random(99)
     for _ in range(8):
-        cfg, g, model = build_random(rng, 50)
+        cfg, g, root, model = build_random(rng, 50)
         for _ in range(150):
             a = rng.randrange(len(model) + 1)
             b = rng.randrange(a, len(model) + 1)
-            assert g.substring_fp(a, b) == fp_of(cfg, model[a:b])
-
-
-def test_height_balanced():
-    rng = random.Random(3)
-    for _ in range(10):
-        _, g, model = build_random(rng, 70)
-        if g.root is None:
-            continue
-        assert g.root.height <= 1.45 * math.log2(len(model) + 2)
-        g.validate()
-
-
-def test_copy_sharing_keeps_node_count_logarithmic():
-    g = AvlGrammar(HashConfig.from_seed(5))
-    g.append_literal(0)
-    g.append_literal(1)
-    for _ in range(40):
-        g.append_copy(0, g.length)  # repeated doubling
-    assert g.length == 2 ** 41
-    assert g.reachable_nodes() <= 90
-    g.validate()
-
-
-def test_copy_range_validation():
-    g = AvlGrammar(HashConfig.from_seed(1))
-    g.append_literal(0)
-    with pytest.raises(ValueError):
-        g.append_copy(0, 2)
-    with pytest.raises(ValueError):
-        g.append_copy(2, 1)
-    with pytest.raises(ValueError):
-        g.substring_fp(0, 5)
-    g.append_copy(0, 0)  # empty copy is a no-op
-    assert g.length == 1
-
-
-def test_ops_counter_monotone():
-    g = AvlGrammar(HashConfig.from_seed(2))
-    before = g.ops
-    for i in range(20):
-        g.append_literal(i % 3)
-    g.append_copy(3, 17)
-    g.substring_fp(2, 30)
-    assert g.ops > before
-
-
-def cover_visits(g, start, end):
-    before = g.ops
-    g._cover(start, end)
-    return g.ops - before
-
-
-def test_one_walk_queries_on_copy_built_grammars():
-    # ops counts node visits: one query visits exactly the nodes that the
-    # range's tiling walk (_cover) visits
-    rng = random.Random(31337)
-    for length in (1, 2, 3, 40, 90, 150):
-        cfg, g, model, _ = build_by_copies(rng, length)
-        g.validate()
-        for a in range(len(model)):
-            before = g.ops
-            assert g.symbol_at(a) == model[a]
-            assert g.ops - before == cover_visits(g, a, a + 1)
-            for b in range(a + 1, len(model) + 1):
-                before = g.ops
-                assert g.substring_fp(a, b) == fp_of(cfg, model[a:b])
-                assert g.ops - before == cover_visits(g, a, b)
-    cfg, g, model, _ = build_by_copies(rng, 20000)
-    assert g.root.height >= 12
-    for _ in range(400):
-        a = rng.randrange(len(model))
-        b = rng.randrange(a + 1, len(model) + 1)
-        before = g.ops
-        assert g.substring_fp(a, b) == fp_of(cfg, model[a:b])
-        assert g.ops - before == cover_visits(g, a, b)
-        assert g.symbol_at(a) == model[a]
+            assert g.substring_fp(root, a, b) == fp_of(cfg, model[a:b])
 
 
 PHI = (1 + 5 ** 0.5) / 2
 
 
-def test_forest_under_literals_and_copies_to_the_end():
-    # copies that end at g.length, whole-content ones included, cover a
-    # spine node; the copy must take the trees under it instead.  An AVL
-    # tree of height h has at least Fib(h + 1) >= PHI ** (h - 1) leaves, and
-    # the spine adds one level above the tallest tree.  (1.45 * log2(n + 2)
-    # is not a bound here: repeated whole copies make near-Fibonacci trees,
-    # and a single tree exceeds it too.)
-    rng = random.Random(60221)
-    for _ in range(8):
-        cfg = HashConfig.from_seed(rng.randrange(1 << 30))
-        g = AvlGrammar(cfg)
-        model: list[int] = []
-        for _ in range(120):
-            r = rng.random()
-            if not model or r < 0.35:
-                sym = rng.randrange(3)
-                g.append_literal(sym)
-                model.append(sym)
-            else:
-                n = len(model)
-                if r < 0.5 and n <= 2000:
-                    start = 0
-                else:
-                    start = rng.randrange(max(0, n - 300), n)
-                end = n if r < 0.85 else rng.randrange(start + 1, n + 1)
-                g.append_copy(start, end)
-                model.extend(model[start:end])
-            g.validate()
-            assert g.to_symbols() == tuple(model)
-            assert all(t.height <= 1 + math.log(t.length, PHI) for t in g._trees)
-            assert g.root.height <= 2 + math.log(len(model), PHI)
-            assert len(g._trees) <= 1.45 * math.log2(len(model) + 2)
+def test_height_balanced():
+    # every phrase tree the engine builds is AVL with exact cached fields;
+    # an AVL tree of height h has at least Fib(h + 1) >= PHI ** (h - 1)
+    # leaves
+    runs = []
+    for name in ("lzd-slow", "lzmw-slow"):
+        gen, scheme, _ = FAMILIES[name]
+        runs.append((gen(8).symbols, scheme))
+    rng = random.Random(3)
+    for trial in range(50):
+        text = random_text(rng, rng.randrange(20, 1500), rng.choice([2, 3, 4, 16]))
+        runs.append((text.symbols, Scheme.LZD if trial % 2 == 0 else Scheme.LZMW))
+    for seed, (syms, scheme) in enumerate(runs):
+        cfg = HashConfig.from_seed(seed)
+        eng, _ = engine_parse(syms, scheme, cfg)
+        seen = set()
+        for tree in eng._trees.values():
+            assert_avl(cfg, tree, seen)
+            assert tree.height <= 1 + math.log(tree.length, PHI)
+
+
+def test_copy_sharing_keeps_node_count_logarithmic():
+    cfg = HashConfig.from_seed(5)
+    g = AvlGrammar(cfg)
+    root = tree_of(g, [0, 1])
+    for _ in range(40):
+        root = g.concat(root, copy_of(g, root, 0, root.length))  # doubling
+    assert root.length == 2 ** 41
+    assert g.reachable_nodes([root]) <= 90
+    assert_avl(cfg, root)
+
+
+def test_query_range_validation():
+    g = AvlGrammar(HashConfig.from_seed(1))
+    t = tree_of(g, [0, 1])
+    for a, b in ((0, 5), (2, 1), (-1, 1)):
+        with pytest.raises(ValueError):
+            g.substring_fp(t, a, b)
+    for i in (2, -1):
+        with pytest.raises(ValueError):
+            g.symbol_at(t, i)
+    assert g.substring_fp(t, 5, 5) == fp_empty()  # an empty range reads nothing
+
+
+def test_ops_counter_monotone():
+    g = AvlGrammar(HashConfig.from_seed(2))
+    before = g.ops
+    t = tree_of(g, [i % 3 for i in range(20)])
+    assert g.ops > before
+    before = g.ops
+    g.substring_fp(t, 2, 17)
+    assert g.ops > before
+
+
+def cover_visits(g, tree, start, end):
+    before = g.ops
+    cover(g, tree, start, end)
+    return g.ops - before
+
+
+def test_one_walk_queries_on_copy_built_grammars():
+    # ops counts node visits: one query visits exactly the nodes that the
+    # range's tiling walk (cover) visits
+    rng = random.Random(31337)
+    for length in (1, 2, 3, 40, 90, 150):
+        cfg, g, root, model, _ = build_by_copies(rng, length)
+        assert_avl(cfg, root)
+        for a in range(len(model)):
+            before = g.ops
+            assert g.symbol_at(root, a) == model[a]
+            assert g.ops - before == cover_visits(g, root, a, a + 1)
+            for b in range(a + 1, len(model) + 1):
+                before = g.ops
+                assert g.substring_fp(root, a, b) == fp_of(cfg, model[a:b])
+                assert g.ops - before == cover_visits(g, root, a, b)
+    cfg, g, root, model, _ = build_by_copies(rng, 20000)
+    assert root.height >= 12
+    for _ in range(400):
+        a = rng.randrange(len(model))
+        b = rng.randrange(a + 1, len(model) + 1)
+        before = g.ops
+        assert g.substring_fp(root, a, b) == fp_of(cfg, model[a:b])
+        assert g.ops - before == cover_visits(g, root, a, b)
+        assert g.symbol_at(root, a) == model[a]
 
 
 def test_probe_keeps_last_grammar_symbol_until_moved():
     # distinct symbols: every position reads a different one
     g = AvlGrammar(HashConfig.from_seed(17))
-    for s in range(64):
-        g.append_literal(s)
-    probe = Probe(g, 10, 20)
+    t = tree_of(g, range(64))
+    probe = Probe(g, t, 10, 20)
     assert probe.symbol_at(5) == 15
     ops = g.ops
     assert probe.symbol_at(5) == 15
     assert g.ops == ops  # a repeated read costs no grammar op
     # a stale symbol after a move would silently corrupt a parse
-    probe.rebase(30, 20, [])
+    probe.rebase(t, 30, 20, [])
     assert probe.symbol_at(5) == 35
     probe.consume(3)
     assert probe.symbol_at(5) == 38
-    probe.rebase(40, 4, [99, 98])
+    probe.rebase(tree_of(g, range(63, -1, -1)), 0, 20, [])
+    assert probe.symbol_at(5) == 58
+    probe.rebase(t, 40, 4, [99, 98])
     assert probe.symbol_at(3) == 43
     probe.consume(2)  # position 3 moves into the tail
     assert probe.symbol_at(3) == 98
     assert probe.fp(4) == fp_of(g.cfg, [42, 43, 99, 98])
-
-
-def expand(node):
-    out = []
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if node.sym is not None:
-            out.append(node.sym)
-        else:
-            stack.append(node.right)
-            stack.append(node.left)
-    return tuple(out)
-
-
-def assert_avl(node):
-    """Balanced at every node; returns the height."""
-    if node.sym is not None:
-        return 1
-    hl, hr = assert_avl(node.left), assert_avl(node.right)
-    assert abs(hl - hr) <= 1
-    assert node.height == max(hl, hr) + 1
-    return node.height
 
 
 def test_concat_spells_a_then_b():
@@ -234,28 +211,25 @@ def test_concat_spells_a_then_b():
     cfg = HashConfig.from_seed(8128)
     g = AvlGrammar(cfg)
     trees = [(g.leaf(s), (s,)) for s in range(4)]
-    assert g.concat(None, trees[0][0]) is trees[0][0]
-    assert g.concat(trees[1][0], None) is trees[1][0]
     for _ in range(400):
         (a, sa), (b, sb) = rng.choice(trees), rng.choice(trees[-20:])
         t = g.concat(a, b)
-        assert expand(t) == sa + sb
+        assert to_symbols(t) == sa + sb
         assert (t.hash, t.pow, t.length) == fp_of(cfg, sa + sb)
-        assert_avl(t)
-        assert expand(a) == sa and expand(b) == sb  # shared, not changed
+        assert_avl(cfg, t)
+        assert to_symbols(a) == sa and to_symbols(b) == sb  # shared, not changed
         if len(sa) + len(sb) <= 2000:
             trees.append((t, sa + sb))
-    assert g.length == 0  # building trees appends nothing
 
 
 def test_appending_concatenated_trees():
-    # literals, fresh concatenations and trees appended before, which the
-    # grammar then shares; validate() also checks that no spine node is
-    # below a tree node
+    # a text tree that grows by literals, fresh concatenations and trees
+    # appended before, which it then shares
     rng = random.Random(1729)
     for _ in range(6):
         cfg = HashConfig.from_seed(rng.randrange(1 << 30))
         g = AvlGrammar(cfg)
+        root = None
         model: list[int] = []
         trees = []
         for _ in range(150):
@@ -268,10 +242,10 @@ def test_appending_concatenated_trees():
                 t, st = g.concat(a, b), sa + sb
             else:
                 t, st = rng.choice(trees)
-            g.append(t)
+            root = t if root is None else g.concat(root, t)
             model.extend(st)
             if len(st) <= 2000:
                 trees.append((t, st))
-            g.validate()
-            assert g.to_symbols() == tuple(model)
-            assert g.substring_fp(0, len(model)) == fp_of(cfg, model)
+            assert_avl(cfg, root)
+            assert to_symbols(root) == tuple(model)
+            assert g.substring_fp(root, 0, len(model)) == fp_of(cfg, model)

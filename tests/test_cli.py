@@ -193,7 +193,7 @@ def test_modulus_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("LZGRAM_MODULUS", "251")
     assert main(["parse", "--scheme", "lzd", "--algo", "lasvegas",
                  "--in", text]) == 0
-    for bad in ("abc", "2", "-5"):
+    for bad in ("abc", "2", "-5", "1000", "1000000000000000000"):
         monkeypatch.setenv("LZGRAM_MODULUS", bad)
         assert main(["parse", "--scheme", "lzd", "--algo", "lasvegas",
                      "--in", text]) == 2

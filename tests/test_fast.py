@@ -11,19 +11,21 @@ from lzgram import (
     MERSENNE61,
     BlockReader,
     HashConfig,
+    Literal,
+    PairIndex,
+    PhraseIndex,
     Scheme,
-    expand_parsing,
     make_text,
     parse_fast,
     parse_las_vegas,
     parse_las_vegas_detailed,
     parse_reference,
+    phrase_expansions,
 )
 from lzgram.adversarial import FAMILIES, binary_reduce, gen_lzd_slow
-from lzgram.fast import _Engine
-from lzgram.model import greedy_parse
 
-from support import EX1_LZD, EX1_LZMW, EX1_TEXT, random_text, register_parsing
+from support import (EX1_LZD, EX1_LZMW, EX1_TEXT, engine_parse, random_text,
+                     register_parsing, to_symbols)
 
 
 class CountingSource:
@@ -203,10 +205,10 @@ def test_slow_family_k16_agreement():
 # structures change; the other five fields are fixed by the parsing and the
 # block reader.
 PINNED_FAST_STATS = {
-    "lzd-slow": (13123, 67, 885, 818, 36141, 4970, 4800, 654, 1961),
-    "lzmw-slow": (7870, 47, 694, 647, 29787, 3549, 5361, 914, 1523),
-    "random-lzd": (1200, 10, 492, 482, 8526, 1631, 1228, 291, 610),
-    "random-lzmw": (1200, 10, 448, 438, 11934, 1519, 1858, 541, 586),
+    "lzd-slow": (13123, 67, 885, 818, 20574, 4970, 4800, 654, 1131),
+    "lzmw-slow": (7870, 47, 694, 647, 16353, 3549, 5361, 914, 1724),
+    "random-lzd": (1200, 10, 492, 482, 3010, 1631, 1228, 291, 292),
+    "random-lzmw": (1200, 10, 448, 438, 4981, 1519, 1858, 541, 501),
 }
 
 
@@ -223,12 +225,6 @@ def test_fast_stats_pinned():
         assert dataclasses.astuple(stats) == PINNED_FAST_STATS[name], name
 
 
-def engine_parse(syms, scheme, cfg):
-    """Run the engine without stats(), which retires its trie."""
-    eng = _Engine(BlockReader(syms), cfg)
-    return eng, greedy_parse(scheme, eng.next_part, eng.add)
-
-
 def collision_corpus(rng, texts):
     """Short texts over small alphabets, parsed below at small moduli, where
     fingerprint collisions are frequent."""
@@ -239,16 +235,29 @@ def collision_corpus(rng, texts):
             yield trial, syms, scheme
 
 
+def referenced_expansion(expansions, ref):
+    """What a dictionary reference spells under a parsing's expansions."""
+    if isinstance(ref, Literal):
+        return (ref.symbol,)
+    if isinstance(ref, PhraseIndex):
+        return expansions[ref.index - 1]
+    assert isinstance(ref, PairIndex)  # phrases j and j + 1
+    return expansions[ref.index - 1] + expansions[ref.index]
+
+
 def test_grammar_spells_the_parsing_under_collisions():
-    # every part appends its phrase's tree, so the grammar holds the parsing's
-    # expansion even where a collision made the parsing wrong; a copy of the
-    # trie node's interval would hold whatever that interval spells
+    # every phrase tree joins its parts' trees, so it spells what its
+    # reference expands to under the emitted parsing, even where a collision
+    # made the parsing wrong
     wrong = 0
     for trial, syms, scheme in collision_corpus(random.Random(4711), 400):
         for p in (31, 251):
             eng, parsing = engine_parse(syms, scheme,
                                         HashConfig.from_seed(trial, p))
-            assert eng.g.to_symbols() == expand_parsing(parsing), (trial, p)
+            expansions = phrase_expansions(parsing)
+            for ref, tree in eng._trees.items():
+                assert (to_symbols(tree)
+                        == referenced_expansion(expansions, ref)), (trial, p, ref)
             wrong += parsing != parse_reference(make_text(syms), scheme)
     assert wrong > 0  # the moduli are small enough to make collisions
 
@@ -268,12 +277,17 @@ def test_cached_trie_hashes_are_exact():
             eng, _ = engine_parse(syms, scheme, HashConfig.from_seed(trial, p))
             g = eng.g
             for v in trie_nodes(eng.trie):
-                assert v.hash == g.substring_fp(v.ell, v.ell + v.depth).hash
+                assert v.hash == g.substring_fp(v.tree, 0, v.depth).hash
+                if p == MERSENNE61:  # no collision corrupts the topology
+                    # a child's tree starts with v's string
+                    for c in v.children.values():
+                        assert (g.substring_fp(c.tree, 0, v.depth).hash
+                                == v.hash)
 
 
 def test_stats_walk_stays_under_the_parse_peak():
-    # grammar_nodes walks the whole grammar; stats() drops the trie, carry
-    # and phrase trees first, so the walk does not set the run's peak
+    # grammar_nodes walks the phrase trees; stats() drops the trie and carry
+    # first, so the walk does not set the run's peak
     gen, scheme, _ = FAMILIES["lzmw-slow"]
     text = gen(16)
     tracemalloc.start()

@@ -75,6 +75,9 @@ def test_from_seed_deterministic_and_ranged():
 def test_small_modulus_rejected():
     with pytest.raises(ValueError):
         HashConfig.from_seed(0, p=2)
+    # delta^(p-2) is delta's inverse only for a prime p
+    with pytest.raises(ValueError):
+        HashConfig.from_seed(0, p=2 ** 61 + 1)
 
 
 def test_distinct_strings_usually_distinct_fps():

@@ -2,13 +2,11 @@
 
 import random
 
-import pytest
-
 from lzgram import AvlGrammar, HashConfig, fp_concat, fp_empty, fp_symbol
 from lzgram.avlgrammar import Probe
 from lzgram.ztrie import MarkedAncestorIndex, OrderList, ZTrie, two_fattest
 
-from support import build_by_copies
+from support import build_by_copies, to_symbols, tree_of
 
 
 class ListProbe:
@@ -39,13 +37,18 @@ def lcp_len(a, b):
 
 
 def build_trie(cfg, content, intervals):
+    """A trie holding content[start:end) for each interval, each string its
+    own tree."""
     g = AvlGrammar(cfg)
-    for s in content:
-        g.append_literal(s)
     trie = ZTrie(g)
     for idx, (start, end) in enumerate(intervals):
-        trie.insert(start, end, ("dict", idx))
+        trie.insert(tree_of(g, content[start:end]), ("dict", idx))
     return g, trie
+
+
+def string(v):
+    """A trie node's string."""
+    return to_symbols(v.tree)[:v.depth] if v.tree is not None else ()
 
 
 # -- two_fattest ------------------------------------------------------------
@@ -161,9 +164,7 @@ def test_marked_ancestor_direct():
 
 def test_empty_trie_locate():
     cfg = HashConfig.from_seed(0)
-    g = AvlGrammar(cfg)
-    g.append_literal(0)
-    trie = ZTrie(g)
+    trie = ZTrie(AvlGrammar(cfg))
     probe = ListProbe(cfg, [0, 1])
     assert trie.prefix_search(probe) is trie.root
     node, m = trie.locate(probe)
@@ -214,7 +215,7 @@ def test_reinsert_only_marks():
     content = [0, 1, 0, 1]
     g, trie = build_trie(cfg, content, [(0, 3)])
     count = trie.node_count()
-    trie.insert(0, 3, ("dup", 0))
+    trie.insert(tree_of(g, content[0:3]), ("dup", 0))
     assert trie.node_count() == count
     probe = ListProbe(cfg, content[0:3])
     node, m = trie.locate(probe)
@@ -235,17 +236,6 @@ def test_node_count_bound():
             intervals.append((start, end))
         _, trie = build_trie(cfg, content, intervals)
         assert trie.node_count() <= 2 * len(intervals) + 1
-
-
-def test_insert_range_validation():
-    cfg = HashConfig.from_seed(7)
-    g = AvlGrammar(cfg)
-    g.append_literal(0)
-    trie = ZTrie(g)
-    with pytest.raises(ValueError):
-        trie.insert(0, 2, None)
-    with pytest.raises(ValueError):
-        trie.insert(1, 1, None)
 
 
 def test_locate_against_oracle():
@@ -301,10 +291,6 @@ def test_trie_invariants_after_random_inserts():
         want = {}
         for idx, (a, b) in enumerate(intervals):
             want.setdefault(tuple(content[a:b]), ("dict", idx))
-
-        def string(v):
-            return tuple(content[v.ell:v.ell + v.depth])
-
         got = {}
         stack = [trie.root]
         while stack:
@@ -316,12 +302,12 @@ def test_trie_invariants_after_random_inserts():
                 # gets the payload or a second child in the same insert
                 assert v.payload is not None or len(v.children) >= 2
                 f = two_fattest(v.parent.depth, v.depth)
-                key = (f, g.substring_fp(v.ell, v.ell + f).hash)
+                key = (f, g.substring_fp(v.tree, 0, f).hash)
                 assert trie.table[key] is v
             for sym, c in v.children.items():
                 assert c.parent is v
                 assert c.depth > v.depth
-                assert content[c.ell + v.depth] == sym
+                assert string(c)[v.depth] == sym
                 assert string(c)[:v.depth] == string(v)
                 stack.append(c)
         assert got == want
@@ -335,15 +321,14 @@ def test_lcp_lower_bound_matches_oracle():
         content = [rng.randrange(sigma) for _ in range(n)]
         cfg = HashConfig.from_seed(rng.randrange(1 << 30))
         g = AvlGrammar(cfg)
-        for s in content:
-            g.append_literal(s)
+        root = tree_of(g, content)
         for _ in range(20):
             start = rng.randrange(n)
             max_len = rng.randrange(n - start + 1)
             if rng.random() < 0.5:
-                # a grammar interval, usually sharing a prefix with the target
+                # a grammar range, usually sharing a prefix with the target
                 a = rng.choice([start, rng.randrange(n)])
-                probe = Probe(g, a, rng.randrange(a + 1, n + 1) - a)
+                probe = Probe(g, root, a, rng.randrange(a + 1, n + 1) - a)
                 syms = content[probe.start:probe.start + probe.length]
             else:
                 syms = content[start:start + rng.randrange(n - start + 1)]
@@ -352,9 +337,9 @@ def test_lcp_lower_bound_matches_oracle():
                 syms += [rng.randrange(sigma) for _ in range(rng.randrange(4))]
                 probe = ListProbe(cfg, syms)
             want = lcp_len(syms[:max_len], content[start:start + max_len])
-            assert g.common_prefix(probe, start, max_len) == want
+            assert g.common_prefix(probe, root, start, max_len) == want
             for lo in range(want + 1):
-                assert g.common_prefix(probe, start, max_len, lo) == want
+                assert g.common_prefix(probe, root, start, max_len, lo) == want
 
 
 def test_lcp_descent_on_copy_built_grammars():
@@ -364,7 +349,7 @@ def test_lcp_descent_on_copy_built_grammars():
     rng = random.Random(2357)
     sigma = 3
     for _ in range(5):
-        cfg, g, content, copies = build_by_copies(rng, 2500, sigma)
+        cfg, g, root, content, copies = build_by_copies(rng, 2500, sigma)
         n = len(content)
         long = [c for c in copies if 32 <= c[2] <= 400] or copies
         for _ in range(8):
@@ -373,7 +358,7 @@ def test_lcp_descent_on_copy_built_grammars():
             end = min(n, other + length + rng.randrange(1, 30))
             syms = content[other:end]
             if rng.random() < 0.5:
-                probe = Probe(g, other, end - other)
+                probe = Probe(g, root, other, end - other)
             else:
                 j = rng.randrange(length // 2, len(syms))
                 syms[j] = (syms[j] + rng.randrange(1, sigma)) % sigma
@@ -381,19 +366,20 @@ def test_lcp_descent_on_copy_built_grammars():
             max_len = rng.choice([n - start, rng.randrange(n - start + 1)])
             want = lcp_len(syms[:max_len], content[start:start + max_len])
             for lo in range(want + 1):
-                assert g.common_prefix(probe, start, max_len, lo) == want
+                assert g.common_prefix(probe, root, start, max_len, lo) == want
 
 
 def _trie_shape(trie):
-    """Every node's (depth, ell, child keys, payload), in a walk that
-    visits children by key, and the table with nodes named by walk index."""
+    """Every node's (depth, tree, child keys, payload), in a walk that
+    visits children by key, and the table with nodes named by walk index;
+    trees are named by identity, as both tries compared share them."""
     index, shape = {}, []
     stack = [trie.root]
     while stack:
         v = stack.pop()
         index[id(v)] = len(shape)
         keys = sorted(v.children)
-        shape.append((v.depth, v.ell, tuple(keys), v.payload))
+        shape.append((v.depth, id(v.tree), tuple(keys), v.payload))
         stack.extend(v.children[k] for k in reversed(keys))
     table = {key: index[id(v)] for key, v in trie.table.items()}
     return shape, table
@@ -401,7 +387,8 @@ def _trie_shape(trie):
 
 def test_insert_at_locus_matches_plain_insert():
     # the engine's pattern: a long probe at `start` is located, other strings
-    # are inserted, then content[start:end) is inserted at the old locus
+    # are inserted, then content[start:end) is inserted at the old locus.
+    # Each string is one tree, inserted into both tries
     rng = random.Random(8128)
     for _ in range(60):
         sigma = rng.choice([2, 3, 4])
@@ -409,13 +396,12 @@ def test_insert_at_locus_matches_plain_insert():
         content = [rng.randrange(sigma) for _ in range(n)]
         cfg = HashConfig.from_seed(rng.randrange(1 << 30))
         g = AvlGrammar(cfg)
-        for s in content:
-            g.append_literal(s)
         at_locus, plain = ZTrie(g), ZTrie(g)
 
         def both(start, end, payload, at=None):
-            at_locus.insert(start, end, payload, at=at)
-            plain.insert(start, end, payload)
+            tree = tree_of(g, content[start:end])
+            at_locus.insert(tree, payload, at=at)
+            plain.insert(tree, payload)
 
         for idx in range(rng.randrange(15)):
             start = rng.randrange(n)
@@ -494,14 +480,12 @@ def test_index_and_search_bound_after_every_insert():
         content = [rng.randrange(sigma) for _ in range(n)]
         cfg = HashConfig.from_seed(rng.randrange(1 << 30))
         g = AvlGrammar(cfg)
-        for s in content:
-            g.append_literal(s)
         trie = ZTrie(g)
         strings = []
         for idx in range(rng.randrange(1, 30)):
             start = rng.randrange(n)
             end = rng.randrange(start + 1, min(n, start + 16) + 1)
-            trie.insert(start, end, ("dict", idx))
+            trie.insert(tree_of(g, content[start:end]), ("dict", idx))
             strings.append(tuple(content[start:end]))
             nodes, stack = [], [trie.root]
             while stack:
@@ -533,9 +517,9 @@ def test_index_and_search_bound_after_every_insert():
 
 
 def test_node_hashes_after_plain_inserts():
-    # without a caller's hash, a new leaf hashes its string and a split node
-    # its own prefix; the table keys agree with them where the key length is
-    # the node's depth
+    # a new leaf takes its tree's hash and a split node hashes its own
+    # prefix; the table keys agree with them where the key length is the
+    # node's depth
     rng = random.Random(2357)
     for _ in range(30):
         sigma = rng.choice([2, 3])
@@ -551,6 +535,6 @@ def test_node_hashes_after_plain_inserts():
         while stack:
             v = stack.pop()
             stack.extend(v.children.values())
-            assert v.hash == g.substring_fp(v.ell, v.ell + v.depth).hash
+            assert v.hash == g.substring_fp(v.tree, 0, v.depth).hash
             if v.parent is not None and two_fattest(v.parent.depth, v.depth) == v.depth:
                 assert trie.table[(v.depth, v.hash)] is v
