@@ -160,61 +160,45 @@ class AvlGrammar:
         self.ops += ops
         return node.sym
 
-    def common_prefix(self, probe, tree: _Node, start: int, max_len: int,
-                      lo: int = 0, full: int | None = None) -> int:
-        """Longest common prefix of the probe's string and
-        tree[start:start+max_len), the first lo symbols known to match;
-        full, if given, is the hash of that whole range.
+    def common_prefix(self, probe, tree: _Node, max_len: int, lo: int = 0,
+                      full: int | None = None) -> int:
+        """Longest common prefix of the probe's string and tree[0:max_len),
+        the first lo symbols known to match; full, if given, is the hash of
+        tree[0:max_len).
 
         One full-length fingerprint comparison, then, if it fails, one
-        descent from the known prefix on, exact w.h.p.: at each node whose
-        children part the unmatched rest of the range, the probe's
+        root-to-leaf descent, exact w.h.p.: keeping the hash of tree[0:off)
+        for the node's start off, at each node whose middle lies past the
+        known prefix and short of the clamped length, the probe's
         fingerprint up to the middle decides which child holds the first
-        mismatch.  The test compares it with the running hash up to the node's
-        start plus the left child's hash; for a node that starts inside the
-        known prefix, with the hash of tree[start:node end) minus the whole
-        right child instead.
+        mismatch.
         """
         hi = min(probe.length, max_len)
         if hi <= lo:
             return lo
-        end = start + hi
         # equal lengths make equal pows: the hashes decide
         if full is None or hi < max_len:
-            full = self.substring_fp(tree, start, end).hash
+            full = self.substring_fp(tree, 0, hi).hash
         if probe.fp(hi).hash == full:
             return hi
         p = self.cfg.p
-        h, pw, _ = probe.fp(lo)
-        a = start + lo
-        node, off = self._part(tree, a, end)
-        gh, _ = self._suffix_fp(node, off, a)
-        gh = (h + pw * gh) % p
-        ops = 0
+        node, off, h, pw, ops = tree, 0, 0, 1, 1
         while node.sym is None:
             left = node.left
             mid = off + left.length
             ops += 1
-            if a >= mid:
-                node, off = node.right, mid
-                continue
-            if mid >= end:
+            if mid >= hi:
                 node = left
                 continue
-            ph, ppow, _ = probe.fp(mid - start)
+            lh = (h + pw * left.hash) % p
             ops += 1
-            if off < a:
-                gh = (gh - ppow * node.right.hash) % p
-                same = ph == gh
-            else:
-                same = ph == (h + pw * left.hash) % p
-            if same:
-                h, pw = ph, ppow
+            if mid <= lo or probe.fp(mid).hash == lh:
+                h, pw = lh, pw * left.pow % p
                 node, off = node.right, mid
             else:
                 node = left
         self.ops += ops
-        return off - start
+        return off
 
     def reachable_nodes(self, roots) -> int:
         """The number of distinct nodes under the given trees."""

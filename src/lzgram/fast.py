@@ -43,7 +43,6 @@ class BlockReader:
         except TypeError:
             self.known_length = None
         self._it = iter(source)
-        self._peek: int | None = None
         self.delivered = 0
         self.blocks_read = 0
 
@@ -53,20 +52,9 @@ class BlockReader:
             base = 2 * (self.delivered + 1)
         return max(16, math.ceil(math.log2(max(base, 2))) ** 2)
 
-    def has_more(self) -> bool:
-        if self._peek is not None:
-            return True
-        try:
-            self._peek = next(self._it)
-        except StopIteration:
-            return False
-        return True
-
     def read_block(self) -> list:
-        want = self.block_length()
-        out = [] if self._peek is None else [self._peek]
-        self._peek = None
-        out += islice(self._it, want - len(out))
+        """The next block; empty once the input is exhausted."""
+        out = list(islice(self._it, self.block_length()))
         if out:
             self.delivered += len(out)
             self.blocks_read += 1
@@ -121,16 +109,19 @@ class _Engine:
         carry = self.carry
         reader = self.reader
         trie = self.trie
-        if carry.length == 0 and not reader.has_more():
-            return None
         v, m = trie.locate(carry)
-        self.searches += 1
-        while m == carry.length and reader.has_more():
+        while m == carry.length:
             # whole carry certified on a trie path: re-anchor it to that
             # node's tree, read more and go on from the same point
-            carry.rebase(v.tree, 0, m, reader.read_block())
+            block = reader.read_block()
+            if not block:
+                break
+            carry.rebase(v.tree, 0, m, block)
             v, m = trie.locate(carry, at=(v, m))
             self.searches += 1
+        if carry.length == 0:
+            return None
+        self.searches += 1
         w = trie.nearest_marked(v, m)
         trees = self._trees
         if w is None:

@@ -51,9 +51,10 @@ class Text:
     def __post_init__(self):
         if self.alphabet_bound < 1 or self.alphabet_bound > MAX_SYMBOL:
             raise ValueError("alphabet_bound out of range")
-        for s in self.symbols:
-            if not (0 <= s < self.alphabet_bound):
-                raise ValueError(f"symbol {s} outside [0, {self.alphabet_bound})")
+        syms, bound = self.symbols, self.alphabet_bound
+        if syms and not (0 <= min(syms) and max(syms) < bound):
+            bad = next(s for s in syms if not 0 <= s < bound)
+            raise ValueError(f"symbol {bad} outside [0, {bound})")
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -66,21 +67,21 @@ def make_text(symbols, alphabet_bound: int | None = None) -> Text:
     return Text(syms, alphabet_bound)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     """A single-symbol dictionary reference."""
 
     symbol: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhraseIndex:
     """LZD part: the index (1-based) of an earlier phrase."""
 
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairIndex:
     """LZMW phrase: the dictionary string p_j p_(j+1), j 1-based."""
 
@@ -91,7 +92,7 @@ LzdPart = Literal | PhraseIndex
 LzmwPhrase = Literal | PairIndex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LzdPhrase:
     first: LzdPart
     second: LzdPart | None  # None only on a final one-part phrase

@@ -297,11 +297,12 @@ class ZTrie:
         mid.open_item = self.om.insert_after(c.open_item.prev)
         mid.close_item = self.om.insert_after(c.close_item)
         self._nodes += 1
-        # c's entry in v.children, found by identity, not by a grammar query
+        # c's entry in v.children, found by identity; an insert under a
+        # fingerprint collision may have replaced it, and then none changes
         for key, child in v.children.items():
             if child is c:
+                v.children[key] = mid
                 break
-        v.children[key] = mid
         mid.children[self.g.symbol_at(c.tree, mid_depth)] = c
         c.parent = mid
         # c's depth span shrank from (v.depth, c.depth] to (mid_depth, c.depth]:
@@ -351,7 +352,7 @@ class ZTrie:
         # climb until the probe demonstrably reaches v's edge; a given locus
         # is on its edge already, so its first LCP, finishing it, ends this
         while v.parent is not None:
-            m = self.g.common_prefix(probe, v.tree, 0, v.depth, m, v.hash)
+            m = self.g.common_prefix(probe, v.tree, v.depth, m, v.hash)
             if m > v.parent.depth:
                 break
             v, m = v.parent, 0
@@ -361,7 +362,7 @@ class ZTrie:
             if c is None:
                 break
             self.ops += 1
-            m2 = self.g.common_prefix(probe, c.tree, 0, c.depth, 0, c.hash)
+            m2 = self.g.common_prefix(probe, c.tree, c.depth, 0, c.hash)
             if m2 <= v.depth:
                 break
             v, m = c, m2

@@ -6,7 +6,7 @@ from lzgram import AvlGrammar, HashConfig, fp_concat, fp_empty, fp_symbol
 from lzgram.avlgrammar import Probe
 from lzgram.ztrie import MarkedAncestorIndex, OrderList, ZTrie, two_fattest
 
-from support import build_by_copies, to_symbols, tree_of
+from support import build_by_copies, copy_of, to_symbols, tree_of
 
 
 class ListProbe:
@@ -222,6 +222,21 @@ def test_reinsert_only_marks():
     assert trie.nearest_marked(node, m).payload == ("dict", 0)  # first wins
 
 
+def test_split_of_a_replaced_child_leaves_its_siblings():
+    # under a fingerprint collision an insert can put a new leaf under the
+    # key of an existing child c, while c.parent still names the parent; a
+    # later split of c must then change no entry of the parent's children
+    cfg = HashConfig.from_seed(5)
+    g, trie = build_trie(cfg, [2, 2, 0, 1, 1], [(0, 2), (2, 5)])  # "22", "011"
+    root = trie.root
+    c = root.children[0]
+    sibling = root.children[2]
+    replacing = trie._new_leaf(root, tree_of(g, [0, 0]))
+    root.children[0] = replacing
+    trie._split(c, 1)
+    assert root.children == {2: sibling, 0: replacing}
+
+
 def test_node_count_bound():
     rng = random.Random(6)
     for _ in range(10):
@@ -313,6 +328,20 @@ def test_trie_invariants_after_random_inserts():
         assert got == want
 
 
+class RecordingProbe:
+    """A probe's length and fingerprints, recording every prefix length it
+    is asked about."""
+
+    def __init__(self, probe):
+        self.probe = probe
+        self.length = probe.length
+        self.asked = []
+
+    def fp(self, k):
+        self.asked.append(k)
+        return self.probe.fp(k)
+
+
 def test_lcp_lower_bound_matches_oracle():
     rng = random.Random(4142)
     for _ in range(60):
@@ -337,9 +366,14 @@ def test_lcp_lower_bound_matches_oracle():
                 syms += [rng.randrange(sigma) for _ in range(rng.randrange(4))]
                 probe = ListProbe(cfg, syms)
             want = lcp_len(syms[:max_len], content[start:start + max_len])
-            assert g.common_prefix(probe, root, start, max_len) == want
+            tree = copy_of(g, root, start, n)
+            assert g.common_prefix(probe, tree, max_len) == want
             for lo in range(want + 1):
-                assert g.common_prefix(probe, root, start, max_len, lo) == want
+                log = RecordingProbe(probe)
+                assert g.common_prefix(log, tree, max_len, lo) == want
+                # the known prefix is never read again
+                hi = min(probe.length, max_len)
+                assert all(lo < q <= hi for q in log.asked), (lo, hi, log.asked)
 
 
 def test_lcp_descent_on_copy_built_grammars():
@@ -365,8 +399,9 @@ def test_lcp_descent_on_copy_built_grammars():
                 probe = ListProbe(cfg, syms)
             max_len = rng.choice([n - start, rng.randrange(n - start + 1)])
             want = lcp_len(syms[:max_len], content[start:start + max_len])
+            tree = copy_of(g, root, start, n)
             for lo in range(want + 1):
-                assert g.common_prefix(probe, root, start, max_len, lo) == want
+                assert g.common_prefix(probe, tree, max_len, lo) == want
 
 
 def _trie_shape(trie):
@@ -447,18 +482,6 @@ def test_locate_resumes_from_a_certified_prefix():
                 assert trie.locate(probe, at=(v, m)) == trie.locate(probe)
 
 
-class RecordingProbe(ListProbe):
-    """ListProbe that records every prefix length it is asked about."""
-
-    def __init__(self, cfg, syms):
-        super().__init__(cfg, syms)
-        self.asked = []
-
-    def fp(self, k):
-        self.asked.append(k)
-        return super().fp(k)
-
-
 def entered_nodes(ma):
     out, stack = [], [ma._root]
     while stack:
@@ -505,7 +528,7 @@ def test_index_and_search_bound_after_every_insert():
                 q = content[a:a + rng.randrange(trie.max_depth + 1)]
                 q += [rng.randrange(sigma)
                       for _ in range(trie.max_depth + 1 - len(q) + rng.randrange(4))]
-                probe = RecordingProbe(cfg, q)
+                probe = RecordingProbe(ListProbe(cfg, q))
                 trie.prefix_search(probe)
                 assert max(probe.asked, default=0) <= trie.max_depth
                 node, m = trie.locate(ListProbe(cfg, q))
