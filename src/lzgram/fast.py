@@ -17,6 +17,7 @@ deterministic-correct at the cost of an expected single extra pass.
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 from dataclasses import dataclass, replace
@@ -193,6 +194,9 @@ def parse_las_vegas_detailed(make_reader, scheme: Scheme, seed: int = 0,
         res = parse_fast(make_reader(), scheme, cfg=cfg)
         if phrase_ends(tuple(make_reader()), res.parsing) is not None:
             return replace(res, attempts=attempt)
+        # the rejected engine's trie and order list are reference cycles:
+        # free them before the next attempt builds its own
+        gc.collect()
     raise RuntimeError(f"no verified parsing after {max_attempts} attempts")
 
 

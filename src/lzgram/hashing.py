@@ -60,23 +60,6 @@ def fp_empty() -> Fingerprint:
     return Fingerprint(0, 1, 0)
 
 
-def fp_symbol(cfg: HashConfig, symbol: int) -> Fingerprint:
-    return Fingerprint(symbol % cfg.p, cfg.delta % cfg.p, 1)
-
-
 def fp_concat(cfg: HashConfig, a: Fingerprint, b: Fingerprint) -> Fingerprint:
     p = cfg.p
     return Fingerprint((a.hash + a.pow * b.hash) % p, (a.pow * b.pow) % p, a.length + b.length)
-
-
-def fp_of(cfg: HashConfig, symbols) -> Fingerprint:
-    """Direct evaluation, linear time. Reference for tests and small inputs."""
-    p = cfg.p
-    h = 0
-    pw = 1
-    n = 0
-    for s in symbols:
-        h = (h + pw * s) % p
-        pw = (pw * cfg.delta) % p
-        n += 1
-    return Fingerprint(h, pw, n)

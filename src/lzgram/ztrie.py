@@ -9,11 +9,12 @@ callers recover from collisions at a higher level.
 
 Nodes with a payload are the current dictionary; a node is marked iff it has
 one.  Nearest-marked-ancestor queries use Euler-tour intervals kept in an
-order-maintenance list: marked intervals nest or are disjoint, so the
-innermost marked interval containing a node's opening endpoint is its deepest
-marked ancestor-or-self.  A marked node answers for itself, so only marked
-nodes that are someone's ancestor, those with children, need an interval in
-the index.
+order-maintenance list, whose labels are ints below 2^60 kept apart by local
+relabelling (O(log n) amortized items moved per insert): marked intervals
+nest or are disjoint, so the innermost marked interval containing a node's
+opening endpoint is its deepest marked ancestor-or-self.  A marked node
+answers for itself, so only marked nodes that are someone's ancestor, those
+with children, need an interval in the index.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ def two_fattest(a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 # order-maintenance list
 
-_LABEL_SPAN = 1 << 1024
+# CPython keeps ints in 30-bit digits: a label below 2^60 takes two of them
+_LABEL_BITS = 60
 
 
 class _OmItem:
@@ -42,9 +44,15 @@ class _OmItem:
 class OrderList:
     """Doubly-linked list with O(1) order comparison via integer labels.
 
-    Labels live in (0, 2^1024); a midpoint insertion that finds no gap left
-    triggers a global relabel, which preserves relative order (so structures
-    that compare labels lazily stay consistent).
+    Labels live in [0, 2^60) and the head keeps label 0.  A midpoint insert
+    that finds no gap relabels evenly the smallest aligned label range of
+    2^i around the anchor holding at most (4/3)^i items, the new one
+    included (Bender, Cole, Demaine, Farach-Colton and Zito, ESA 2002): an
+    insert moves O(log n) items amortized.  Should no range up to the whole
+    universe be that sparse, the universe grows by a bit.  A relabel keeps
+    relative order, so structures that compare labels lazily stay
+    consistent.  `relabels` counts relabel passes and `relabelled` the items
+    they moved.
     """
 
     def __init__(self):
@@ -52,36 +60,52 @@ class OrderList:
         head.label = 0
         head.prev = head.next = head
         self._head = head
-        self._count = 0
+        self._bits = _LABEL_BITS
         self.relabels = 0
+        self.relabelled = 0
 
     def insert_first(self) -> _OmItem:
         return self.insert_after(self._head)
 
     def insert_after(self, anchor: _OmItem) -> _OmItem:
         nxt = anchor.next
-        hi = _LABEL_SPAN if nxt is self._head else nxt.label
+        hi = 1 << self._bits if nxt is self._head else nxt.label
         if hi - anchor.label < 2:
-            self._relabel()
-            nxt = anchor.next
-            hi = _LABEL_SPAN if nxt is self._head else nxt.label
+            self._spread(anchor)
+            hi = 1 << self._bits if nxt is self._head else nxt.label
         item = _OmItem()
         item.label = anchor.label + (hi - anchor.label) // 2
         item.prev = anchor
         item.next = nxt
         anchor.next = item
         nxt.prev = item
-        self._count += 1
         return item
 
-    def _relabel(self) -> None:
+    def _spread(self, anchor: _OmItem) -> None:
+        """Relabel evenly the smallest sparse aligned range around anchor."""
+        head = self._head
+        first = last = anchor
+        count = i = 1
+        while True:
+            i += 1
+            self._bits = max(self._bits, i)
+            lo = anchor.label >> i << i
+            hi = lo + (1 << i)
+            while first is not head and first.prev.label >= lo:
+                first = first.prev
+                count += 1
+            while last.next is not head and last.next.label < hi:
+                last = last.next
+                count += 1
+            if (count + 1) * 3 ** i <= 4 ** i:
+                break
+        # spacing >= 1.5^i >= 3, and the range's end stays free
+        spacing = (1 << i) // (count + 1)
         self.relabels += 1
-        spacing = _LABEL_SPAN // (self._count + 2)
-        label = 0
-        item = self._head.next
-        while item is not self._head:
-            label += spacing
-            item.label = label
+        self.relabelled += count
+        item = first
+        for j in range(count):
+            item.label = lo + j * spacing
             item = item.next
 
 

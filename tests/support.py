@@ -10,6 +10,7 @@ from functools import reduce
 from lzgram import (
     AvlGrammar,
     BlockReader,
+    Fingerprint,
     HashConfig,
     Literal,
     LzdPhrase,
@@ -48,6 +49,23 @@ EX1_LZMW = Parsing(Scheme.LZMW, (
     Literal(0),
     Literal(2),
 ), 13)
+
+
+def fp_symbol(cfg: HashConfig, symbol: int) -> Fingerprint:
+    return Fingerprint(symbol % cfg.p, cfg.delta % cfg.p, 1)
+
+
+def fp_of(cfg: HashConfig, symbols) -> Fingerprint:
+    """Direct evaluation, linear time: the reference fingerprint."""
+    p = cfg.p
+    h = 0
+    pw = 1
+    n = 0
+    for s in symbols:
+        h = (h + pw * s) % p
+        pw = (pw * cfg.delta) % p
+        n += 1
+    return Fingerprint(h, pw, n)
 
 
 def random_text(rng: random.Random, n: int, sigma: int) -> Text:

@@ -5,12 +5,12 @@ import random
 
 import pytest
 
-from lzgram import AvlGrammar, HashConfig, Scheme, fp_empty, fp_of
+from lzgram import AvlGrammar, HashConfig, Scheme, fp_empty
 from lzgram.adversarial import FAMILIES
 from lzgram.avlgrammar import Probe
 
 from support import (build_by_copies, copy_of, cover, engine_parse, extract,
-                     random_text, to_symbols, tree_of)
+                     fp_of, random_text, to_symbols, tree_of)
 
 
 def build_random(rng, steps, sigma=4, copy_cap=400, length_cap=6000):

@@ -299,3 +299,24 @@ def test_stats_walk_stays_under_the_parse_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 1.02 * parse_peak
+
+
+def test_rejected_attempt_is_freed_before_the_next():
+    # a rejected engine's trie and order list are reference cycles; the
+    # wrapper collects them, so a retry peaks like a single parse
+    gen, scheme, _ = FAMILIES["lzd-slow"]
+    syms = gen(8).symbols
+
+    def peak(parse):
+        tracemalloc.start()
+        try:
+            res = parse()
+            return res, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    res, retry_peak = peak(lambda: parse_las_vegas_detailed(
+        lambda: syms, scheme, seed=0, p=100003))
+    assert res.attempts == 2
+    _, single_peak = peak(lambda: parse_fast(syms, scheme))
+    assert retry_peak <= 1.25 * single_peak

@@ -10,9 +10,9 @@ from lzgram import (
     MERSENNE61,
     fp_concat,
     fp_empty,
-    fp_of,
-    fp_symbol,
 )
+
+from support import fp_of, fp_symbol
 
 
 def test_modulus_constant():

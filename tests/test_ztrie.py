@@ -1,12 +1,15 @@
 """z-fast trie stack: fat binary search, order maintenance, marked ancestors."""
 
+import math
 import random
 
-from lzgram import AvlGrammar, HashConfig, fp_concat, fp_empty, fp_symbol
+from lzgram import (AvlGrammar, HashConfig, Scheme, fp_concat, fp_empty,
+                    parse_fast, parse_reference, ztrie)
 from lzgram.avlgrammar import Probe
 from lzgram.ztrie import MarkedAncestorIndex, OrderList, ZTrie, two_fattest
 
-from support import build_by_copies, copy_of, to_symbols, tree_of
+from support import (build_by_copies, copy_of, fp_symbol, random_text,
+                     to_symbols, tree_of)
 
 
 class ListProbe:
@@ -102,6 +105,70 @@ def test_order_list_relabels_under_point_pressure():
     assert len(set(labels)) == len(labels)
 
 
+def list_labels(om):
+    out, item = [], om._head.next
+    while item is not om._head:
+        out.append(item.label)
+        item = item.next
+    return out
+
+
+class EulerNode:
+    """Open/close items placed as ZTrie._new_leaf and _split place them."""
+
+    def __init__(self, om, parent=None, lower=None):
+        if lower is not None:  # the middle node of lower's edge
+            self.open = om.insert_after(lower.open.prev)
+            self.close = om.insert_after(lower.close)
+        elif parent is not None:  # a new last child
+            self.open = om.insert_after(parent.close.prev)
+            self.close = om.insert_after(self.open)
+        else:
+            self.open = om.insert_first()
+            self.close = om.insert_after(self.open)
+
+
+def euler_list(rng, shape, inserts):
+    om = OrderList()
+    root = EulerNode(om)
+    nodes = [root]
+    for _ in range(inserts):
+        if shape == "deep":  # every node a child of the last: nested closes
+            nodes.append(EulerNode(om, parent=nodes[-1]))
+        elif shape == "wide":  # every node a child of the root
+            nodes.append(EulerNode(om, parent=root))
+        elif rng.random() < 0.3:
+            nodes.append(EulerNode(om, lower=rng.choice(nodes[1:] or nodes)))
+        else:
+            nodes.append(EulerNode(om, parent=rng.choice(nodes)))
+    return om, nodes
+
+
+# relabelled items per insert over n log2 n, measured at 0.59-0.67 on the
+# lists below and then frozen
+RELABEL_C = 0.75
+
+
+def test_order_list_labels_fit_a_word_and_relabels_stay_local():
+    om = OrderList()
+    anchor = om.insert_first()
+    squeezed = [om.insert_after(anchor) for _ in range(20000)]
+    cases = [(om, [anchor] + squeezed[::-1])]
+    rng = random.Random(62)
+    for shape in ("deep", "wide", "mixed"):
+        om, nodes = euler_list(rng, shape, 10000)
+        assert all(v.open.label < v.close.label for v in nodes)
+        cases.append((om, None))
+    for om, expected in cases:
+        labels = list_labels(om)
+        n = len(labels)
+        assert labels == sorted(labels) and len(set(labels)) == n
+        assert all(label.bit_length() <= 62 for label in labels)
+        if expected is not None:
+            assert labels == [it.label for it in expected]
+        assert om.relabelled <= RELABEL_C * n * math.log2(n)
+
+
 # -- marked-ancestor index --------------------------------------------------
 
 
@@ -132,6 +199,38 @@ def test_marked_ancestor_matches_walk_up():
             stack.extend(v.children.values())
         for v in nodes:
             assert trie.ma.nearest(v) is walk_up_marked(v)
+
+
+def test_index_and_parses_under_constant_relabels(monkeypatch):
+    # a 4-bit universe makes nearly every insert relabel and grow it; the
+    # treap keyed by open labels must keep answering like a walk up
+    monkeypatch.setattr(ztrie, "_LABEL_BITS", 4)
+    rng = random.Random(16)
+    for _ in range(20):
+        n = rng.randrange(20, 120)
+        content = [rng.randrange(rng.choice([2, 3])) for _ in range(n)]
+        cfg = HashConfig.from_seed(rng.randrange(1 << 30))
+        g = AvlGrammar(cfg)
+        trie = ZTrie(g)
+        for idx in range(rng.randrange(5, 40)):
+            start = rng.randrange(n)
+            end = rng.randrange(start + 1, min(n, start + 12) + 1)
+            trie.insert(tree_of(g, content[start:end]), ("dict", idx))
+            nodes, stack = [], [trie.root]
+            while stack:
+                v = stack.pop()
+                nodes.append(v)
+                stack.extend(v.children.values())
+            for v in nodes:
+                assert trie.ma.nearest(v) is walk_up_marked(v)
+        assert trie.om.relabels > 0 and trie.om._bits > 4
+        labels = list_labels(trie.om)
+        assert labels == sorted(labels) and len(set(labels)) == len(labels)
+    for _ in range(30):
+        text = random_text(rng, rng.randrange(20, 400), rng.choice([2, 3, 16]))
+        for scheme in Scheme:
+            assert (parse_fast(text, scheme, seed=rng.randrange(1 << 30)).parsing
+                    == parse_reference(text, scheme))
 
 
 def test_marked_ancestor_direct():
