@@ -137,8 +137,8 @@ def euler_list(rng, shape, inserts):
             nodes.append(EulerNode(om, parent=nodes[-1]))
         elif shape == "wide":  # every node a child of the root
             nodes.append(EulerNode(om, parent=root))
-        elif rng.random() < 0.3:
-            nodes.append(EulerNode(om, lower=rng.choice(nodes[1:] or nodes)))
+        elif len(nodes) > 1 and rng.random() < 0.3:  # the root has no edge
+            nodes.append(EulerNode(om, lower=rng.choice(nodes[1:])))
         else:
             nodes.append(EulerNode(om, parent=rng.choice(nodes)))
     return om, nodes
