@@ -26,7 +26,7 @@ from .model import (
     expand_grammar,
     validate_grammar,
 )
-from .hashing import HashConfig, Fingerprint, fp_concat, fp_empty, MERSENNE61
+from .hashing import HashConfig, MERSENNE61
 from .naive import parse_naive
 from .avlgrammar import AvlGrammar
 from .fast import (

@@ -5,8 +5,9 @@ nodes concatenate their children.  `leaf` makes a one-symbol tree and
 `concat` joins two trees with O(|height difference|) new nodes, sharing the
 rest of both, so a tree built from earlier trees adds O(log n) nodes and the
 grammar stays near z*log(n) nodes for z joins.  Every node caches its length
-and a composable fingerprint of its expansion; a query takes the tree it
-reads and gives prefix fingerprints, symbols and LCPs in logarithmic time.
+and the hash of its expansion with delta^length, which a join composes; a
+query takes the tree it reads and gives substring hashes, symbols and LCPs in
+logarithmic time.
 
 All ranges are 0-based half-open.  The `ops` counter tallies node visits and
 node constructions; it is the deterministic work measure used by benchmarks.
@@ -17,7 +18,7 @@ from __future__ import annotations
 from itertools import accumulate
 from operator import mul
 
-from .hashing import Fingerprint, HashConfig, fp_concat, fp_empty
+from .hashing import HashConfig
 
 
 class _Node:
@@ -114,18 +115,17 @@ class AvlGrammar:
         self.ops += ops
         return (node.hash + node.pow * h) % p, pw * node.pow % p
 
-    def substring_fp(self, tree: _Node | None, start: int,
-                     end: int) -> Fingerprint:
-        """Fingerprint of tree[start:end) in one walk: down to the node where
-        start and end part, then along both boundary paths.  An empty range
-        needs no tree (the trie root has none)."""
+    def substring_fp(self, tree: _Node | None, start: int, end: int) -> int:
+        """Hash of tree[start:end) in one walk: down to the node where start
+        and end part, then along both boundary paths.  An empty range hashes
+        to 0 and needs no tree (the trie root has none)."""
         if start == end:
-            return fp_empty()
+            return 0
         if not 0 <= start < end <= tree.length:
             raise ValueError(f"range [{start},{end}) outside the tree")
         node, off = self._part(tree, start, end)
         if end - start == node.length:
-            return Fingerprint(node.hash, node.pow, node.length)
+            return node.hash
         p = self.cfg.p
         h, pw = self._suffix_fp(node.left, off, start)
         # the right boundary path, whole left siblings appended
@@ -143,7 +143,7 @@ class AvlGrammar:
                 node = left
                 ops += 1
         self.ops += ops
-        return Fingerprint((h + pw * node.hash) % p, pw * node.pow % p, end - start)
+        return (h + pw * node.hash) % p
 
     def symbol_at(self, tree: _Node, pos: int) -> int:
         if not 0 <= pos < tree.length:
@@ -166,20 +166,19 @@ class AvlGrammar:
         the first lo symbols known to match; full, if given, is the hash of
         tree[0:max_len).
 
-        One full-length fingerprint comparison, then, if it fails, one
-        root-to-leaf descent, exact w.h.p.: keeping the hash of tree[0:off)
-        for the node's start off, at each node whose middle lies past the
-        known prefix and short of the clamped length, the probe's
-        fingerprint up to the middle decides which child holds the first
-        mismatch.
+        One full-length hash comparison, then, if it fails, one root-to-leaf
+        descent, exact w.h.p.: keeping the hash of tree[0:off) for the node's
+        start off, at each node whose middle lies past the known prefix and
+        short of the clamped length, the probe's hash up to the middle
+        decides which child holds the first mismatch.
         """
         hi = min(probe.length, max_len)
         if hi <= lo:
             return lo
         # equal lengths make equal pows: the hashes decide
         if full is None or hi < max_len:
-            full = self.substring_fp(tree, 0, hi).hash
-        if probe.fp(hi).hash == full:
+            full = self.substring_fp(tree, 0, hi)
+        if probe.fp(hi) == full:
             return hi
         p = self.cfg.p
         node, off, h, pw, ops = tree, 0, 0, 1, 1
@@ -192,7 +191,7 @@ class AvlGrammar:
                 continue
             lh = (h + pw * left.hash) % p
             ops += 1
-            if mid <= lo or probe.fp(mid).hash == lh:
+            if mid <= lo or probe.fp(mid) == lh:
                 h, pw = lh, pw * left.pow % p
                 node, off = node.right, mid
             else:
@@ -226,34 +225,32 @@ class Probe:
     key, the symbol that locate found no child for.
     """
 
-    __slots__ = ("g", "cfg", "tree", "start", "glen", "length", "_gfp", "_q", "_sym",
-                 "_tail", "_th", "_dpow", "_dinvpow", "_dinv", "_toff")
+    __slots__ = ("g", "cfg", "tree", "start", "glen", "length", "_gh", "_gpow",
+                 "_q", "_sym", "_tail", "_th", "_dpow", "_dinvpow", "_dinv", "_toff")
 
-    def __init__(self, g: AvlGrammar, tree: _Node | None = None,
-                 start: int = 0, length: int = 0):
+    def __init__(self, g: AvlGrammar):
         self.g = g
         self.cfg = cfg = g.cfg
         self._dinv = pow(cfg.delta, cfg.p - 2, cfg.p)
         # delta^i and delta^-i, grown to the longest tail seen
         self._dpow = [1]
         self._dinvpow = [1]
-        self.rebase(tree, start, length, [])
+        self.rebase(None, 0, 0, [])
 
-    def _tail_fp(self, t: int) -> Fingerprint:
-        a = self._toff
-        h = (self._th[a + t] - self._th[a]) * self._dinvpow[a] % self.cfg.p
-        return Fingerprint(h, self._dpow[t], t)
-
-    def fp(self, q: int) -> Fingerprint:
-        if q <= self.glen:
+    def fp(self, q: int) -> int:
+        """Hash of the probe's first q symbols."""
+        glen = self.glen
+        if q <= glen:
             return self.g.substring_fp(self.tree, self.start, self.start + q)
-        tail_fp = self._tail_fp(q - self.glen)
-        if self.glen == 0:
-            return tail_fp
-        if self._gfp is None:
-            self._gfp = self.g.substring_fp(self.tree, self.start,
-                                            self.start + self.glen)
-        return fp_concat(self.cfg, self._gfp, tail_fp)
+        p = self.cfg.p
+        a = self._toff
+        h = (self._th[a + q - glen] - self._th[a]) * self._dinvpow[a] % p
+        if glen == 0:
+            return h
+        if self._gh is None:  # the grammar part's hash and delta^glen
+            self._gh = self.g.substring_fp(self.tree, self.start, self.start + glen)
+            self._gpow = pow(self.cfg.delta, glen, p)
+        return (self._gh + self._gpow * h) % p
 
     def symbol_at(self, q: int) -> int:
         if q >= self.glen:
@@ -270,7 +267,7 @@ class Probe:
         self.start = start
         self.glen = length
         self.length = length + len(tail)
-        self._gfp: Fingerprint | None = None
+        self._gh = None
         self._q = -1
         # logical tail = _tail[_toff:]; _th holds rolling prefix hashes of
         # _tail from its absolute start, left unreduced mod p until read;
@@ -289,7 +286,7 @@ class Probe:
     def consume(self, k: int) -> None:
         """Drop the first k symbols (they were just parsed)."""
         self.length -= k
-        self._gfp = None
+        self._gh = None
         self._q = -1
         if k <= self.glen:
             self.start += k

@@ -10,9 +10,12 @@ descent, so each part costs polylog work beyond the symbols read.  The parsed
 prefix itself is not kept.
 
 The core is Monte-Carlo: fingerprint collisions can produce a wrong parsing
-(never a crash).  `parse_las_vegas` re-reads the input to verify the result
-and retries with a fresh hash base until it is correct, making the output
-deterministic-correct at the cost of an expected single extra pass.
+(never a crash).  `parse_las_vegas` re-reads the input and retries with a
+fresh hash base until the parsing spells the input, at the cost of an
+expected single extra pass.  It does not check greediness: at modulus 31,
+LZMW on one 113-symbol text returns 42 phrases for the reference's 41 for
+75 of seeds 0-299, a parsing that spells the input but strict verification
+rejects.
 """
 
 from __future__ import annotations
@@ -152,7 +155,7 @@ class _Engine:
         the nodes of the phrase trees, the whole grammar; the trie and carry
         go before that walk, so it does not set the run's peak memory."""
         trie_ops, ma_ops = self.trie.ops, self.trie.ma.ops
-        trie_nodes = self.trie.node_count()
+        trie_nodes = self.trie.node_count
         trees = self._trees
         self.trie = self.carry = self._trees = self._last = None
         return FastStats(

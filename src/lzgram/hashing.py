@@ -1,7 +1,8 @@
 """Karp-Rabin fingerprints over a prime field.
 
-A fingerprint of a symbol sequence s is sum(s[i] * delta^i) mod p together
-with delta^len mod p, so two fingerprints can be concatenated in O(1).
+The fingerprint of a symbol sequence s is its hash sum(s[i] * delta^i) mod p;
+the hash of s then t is hash(s) + delta^len(s) * hash(t), so a grammar node
+keeps delta^len mod p next to its hash to compose them in O(1).
 """
 
 from __future__ import annotations
@@ -9,7 +10,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache
-from typing import NamedTuple
 
 MERSENNE61 = (1 << 61) - 1
 
@@ -46,20 +46,3 @@ class HashConfig:
     @staticmethod
     def from_seed(seed: int, p: int = MERSENNE61) -> "HashConfig":
         return HashConfig(p=p, delta=random.Random(seed).randrange(1, p))
-
-
-class Fingerprint(NamedTuple):
-    """(hash, delta^len mod p, len) of a symbol sequence."""
-
-    hash: int
-    pow: int
-    length: int
-
-
-def fp_empty() -> Fingerprint:
-    return Fingerprint(0, 1, 0)
-
-
-def fp_concat(cfg: HashConfig, a: Fingerprint, b: Fingerprint) -> Fingerprint:
-    p = cfg.p
-    return Fingerprint((a.hash + a.pow * b.hash) % p, (a.pow * b.pow) % p, a.length + b.length)

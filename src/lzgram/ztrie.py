@@ -1,4 +1,4 @@
-"""Fingerprint-indexed compacted trie with a nearest-marked-ancestor index.
+"""Hash-indexed compacted trie with a nearest-marked-ancestor index.
 
 The trie stores each dictionary string as the `AvlGrammar` tree that spells
 it; no string data is copied.  Lookups run a fat binary search over prefix
@@ -44,7 +44,8 @@ class _OmItem:
 class OrderList:
     """Doubly-linked list with O(1) order comparison via integer labels.
 
-    Labels live in [0, 2^60) and the head keeps label 0.  A midpoint insert
+    Labels live in [0, 2^60).  The sentinel `head` keeps label 0, and
+    `insert_after(head)` inserts a first item.  A midpoint insert
     that finds no gap relabels evenly the smallest aligned label range of
     2^i around the anchor holding at most (4/3)^i items, the new one
     included (Bender, Cole, Demaine, Farach-Colton and Zito, ESA 2002): an
@@ -59,20 +60,17 @@ class OrderList:
         head = _OmItem()
         head.label = 0
         head.prev = head.next = head
-        self._head = head
+        self.head = head
         self._bits = _LABEL_BITS
         self.relabels = 0
         self.relabelled = 0
 
-    def insert_first(self) -> _OmItem:
-        return self.insert_after(self._head)
-
     def insert_after(self, anchor: _OmItem) -> _OmItem:
         nxt = anchor.next
-        hi = 1 << self._bits if nxt is self._head else nxt.label
+        hi = 1 << self._bits if nxt is self.head else nxt.label
         if hi - anchor.label < 2:
             self._spread(anchor)
-            hi = 1 << self._bits if nxt is self._head else nxt.label
+            hi = 1 << self._bits if nxt is self.head else nxt.label
         item = _OmItem()
         item.label = anchor.label + (hi - anchor.label) // 2
         item.prev = anchor
@@ -83,7 +81,7 @@ class OrderList:
 
     def _spread(self, anchor: _OmItem) -> None:
         """Relabel evenly the smallest sparse aligned range around anchor."""
-        head = self._head
+        head = self.head
         first = last = anchor
         count = i = 1
         while True:
@@ -241,20 +239,14 @@ class ZTrie:
         self.ops = 0
         self.max_depth = 0  # no table key is longer
         root = _TrieNode(None, 0, None, 0)
-        root.open_item = self.om.insert_first()
+        root.open_item = self.om.insert_after(self.om.head)
         root.close_item = self.om.insert_after(root.open_item)
         self.root = root
-        self._nodes = 1
-
-    def node_count(self) -> int:
-        return self._nodes
+        self.node_count = 1  # the root included
 
     def _register(self, node: _TrieNode) -> None:
         f = two_fattest(node.parent.depth, node.depth)
-        if f < node.depth:
-            h = self.g.substring_fp(node.tree, 0, f).hash
-        else:
-            h = node.hash
+        h = self.g.substring_fp(node.tree, 0, f) if f < node.depth else node.hash
         self.table[(f, h)] = node
 
     def _new_leaf(self, parent, tree) -> _TrieNode:
@@ -268,7 +260,7 @@ class ZTrie:
         node = _TrieNode(parent, tree.length, tree, tree.hash)
         node.open_item = self.om.insert_after(parent.close_item.prev)
         node.close_item = self.om.insert_after(node.open_item)
-        self._nodes += 1
+        self.node_count += 1
         return node
 
     # -- insertion ---------------------------------------------------------
@@ -317,10 +309,10 @@ class ZTrie:
         # the split point's own string, not the inserted one: they differ
         # when a fingerprint collision led the search here
         mid = _TrieNode(v, mid_depth, c.tree,
-                        self.g.substring_fp(c.tree, 0, mid_depth).hash)
+                        self.g.substring_fp(c.tree, 0, mid_depth))
         mid.open_item = self.om.insert_after(c.open_item.prev)
         mid.close_item = self.om.insert_after(c.close_item)
-        self._nodes += 1
+        self.node_count += 1
         # c's entry in v.children, found by identity; an insert under a
         # fingerprint collision may have replaced it, and then none changes
         for key, child in v.children.items():
@@ -351,7 +343,7 @@ class ZTrie:
         while a < b:
             f = two_fattest(a, b)
             self.ops += 1
-            u = self.table.get((f, probe.fp(f).hash))
+            u = self.table.get((f, probe.fp(f)))
             if u is None:
                 b = f - 1
             else:

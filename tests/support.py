@@ -10,7 +10,6 @@ from functools import reduce
 from lzgram import (
     AvlGrammar,
     BlockReader,
-    Fingerprint,
     HashConfig,
     Literal,
     LzdPhrase,
@@ -23,6 +22,7 @@ from lzgram import (
     check_lzmw_pair_distinct,
     make_text,
 )
+from lzgram.avlgrammar import Probe
 from lzgram.fast import _Engine
 from lzgram.model import greedy_parse
 
@@ -51,21 +51,15 @@ EX1_LZMW = Parsing(Scheme.LZMW, (
 ), 13)
 
 
-def fp_symbol(cfg: HashConfig, symbol: int) -> Fingerprint:
-    return Fingerprint(symbol % cfg.p, cfg.delta % cfg.p, 1)
-
-
-def fp_of(cfg: HashConfig, symbols) -> Fingerprint:
-    """Direct evaluation, linear time: the reference fingerprint."""
+def fp_of(cfg: HashConfig, symbols) -> int:
+    """Direct evaluation, linear time: the reference hash."""
     p = cfg.p
     h = 0
     pw = 1
-    n = 0
     for s in symbols:
         h = (h + pw * s) % p
         pw = (pw * cfg.delta) % p
-        n += 1
-    return Fingerprint(h, pw, n)
+    return h
 
 
 def random_text(rng: random.Random, n: int, sigma: int) -> Text:
@@ -96,6 +90,13 @@ def engine_parse(syms, scheme, cfg):
 
 # Grammar helpers: besides phrase trees, as the engine builds them, tests
 # build trees over whole texts and copy ranges of them.
+
+def probe_on(g, tree, start, length):
+    """A probe reading tree[start:start+length), with no tail."""
+    probe = Probe(g)
+    probe.rebase(tree, start, length, [])
+    return probe
+
 
 def tree_of(g, syms):
     """The tree spelling syms (at least one), concat folded over leaves."""

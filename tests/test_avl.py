@@ -5,12 +5,12 @@ import random
 
 import pytest
 
-from lzgram import AvlGrammar, HashConfig, Scheme, fp_empty
+from lzgram import AvlGrammar, HashConfig, Scheme
 from lzgram.adversarial import FAMILIES
 from lzgram.avlgrammar import Probe
 
 from support import (build_by_copies, copy_of, cover, engine_parse, extract,
-                     fp_of, random_text, to_symbols, tree_of)
+                     fp_of, probe_on, random_text, to_symbols, tree_of)
 
 
 def build_random(rng, steps, sigma=4, copy_cap=400, length_cap=6000):
@@ -56,7 +56,7 @@ def assert_avl(cfg, node, seen=None):
 def test_empty_grammar():
     g = AvlGrammar(HashConfig.from_seed(0))
     # an empty range needs no tree: the trie root has none
-    assert g.substring_fp(None, 0, 0) == fp_empty()
+    assert g.substring_fp(None, 0, 0) == 0
     assert g.reachable_nodes([]) == 0
     assert g.ops == 0
 
@@ -136,7 +136,7 @@ def test_query_range_validation():
     for i in (2, -1):
         with pytest.raises(ValueError):
             g.symbol_at(t, i)
-    assert g.substring_fp(t, 5, 5) == fp_empty()  # an empty range reads nothing
+    assert g.substring_fp(t, 5, 5) == 0  # an empty range reads nothing
 
 
 def test_ops_counter_monotone():
@@ -185,7 +185,7 @@ def test_probe_keeps_last_grammar_symbol_until_moved():
     # distinct symbols: every position reads a different one
     g = AvlGrammar(HashConfig.from_seed(17))
     t = tree_of(g, range(64))
-    probe = Probe(g, t, 10, 20)
+    probe = probe_on(g, t, 10, 20)
     assert probe.symbol_at(5) == 15
     ops = g.ops
     assert probe.symbol_at(5) == 15
@@ -204,6 +204,34 @@ def test_probe_keeps_last_grammar_symbol_until_moved():
     assert probe.fp(4) == fp_of(g.cfg, [42, 43, 99, 98])
 
 
+def test_probe_hashes_every_prefix_across_moves():
+    # fp keeps the tree part's hash and delta^glen until the probe moves; a
+    # stale pair would hash every prefix that reaches into the tail wrongly
+    rng = random.Random(2718)
+    for _ in range(6):
+        cfg, g, root, model = build_random(rng, 40)
+        probe = Probe(g)
+        want: list[int] = []  # the probe's string
+        for _ in range(40):
+            if not want or rng.random() < 0.4:
+                start = rng.randrange(len(model) + 1)
+                room = min(len(model) - start, 200)
+                glen = rng.choice([0, rng.randrange(room + 1)])
+                tail = [rng.randrange(4) for _ in range(rng.choice([0, 1, 30]))]
+                probe.rebase(root if glen else None, start, glen, list(tail))
+                want = model[start:start + glen] + tail
+            else:
+                k = rng.randrange(1, len(want) + 1)  # may cross into the tail
+                probe.consume(k)
+                want = want[k:]
+            assert probe.length == len(want)
+            h, pw = 0, 1
+            for q in range(len(want) + 1):
+                assert probe.fp(q) == h
+                if q < len(want):
+                    h, pw = (h + pw * want[q]) % cfg.p, pw * cfg.delta % cfg.p
+
+
 def test_concat_spells_a_then_b():
     # phrase trees as the engine builds them: leaves, and concatenations of
     # earlier trees, many of them far apart in height
@@ -215,7 +243,9 @@ def test_concat_spells_a_then_b():
         (a, sa), (b, sb) = rng.choice(trees), rng.choice(trees[-20:])
         t = g.concat(a, b)
         assert to_symbols(t) == sa + sb
-        assert (t.hash, t.pow, t.length) == fp_of(cfg, sa + sb)
+        n = len(sa) + len(sb)
+        assert (t.hash, t.pow, t.length) == (fp_of(cfg, sa + sb),
+                                             pow(cfg.delta, n, cfg.p), n)
         assert_avl(cfg, t)
         assert to_symbols(a) == sa and to_symbols(b) == sb  # shared, not changed
         if len(sa) + len(sb) <= 2000:

@@ -1,18 +1,10 @@
-"""Karp-Rabin fingerprints: worked values, composition laws, seeding."""
-
-import random
+"""Karp-Rabin hashes: worked values, seeding, the modulus check."""
 
 import pytest
 
-from lzgram import (
-    Fingerprint,
-    HashConfig,
-    MERSENNE61,
-    fp_concat,
-    fp_empty,
-)
+from lzgram import AvlGrammar, HashConfig, MERSENNE61
 
-from support import fp_of, fp_symbol
+from support import fp_of
 
 
 def test_modulus_constant():
@@ -21,45 +13,14 @@ def test_modulus_constant():
 
 def test_worked_example_small_field():
     cfg = HashConfig(p=97, delta=10)
-    ab = fp_of(cfg, [1, 2])
-    assert ab == Fingerprint(21, 3, 2)  # 1 + 2*10 = 21, 10^2 mod 97 = 3
-    c = fp_symbol(cfg, 3)
-    joined = fp_concat(cfg, ab, c)
-    assert joined.hash == 30
-    assert joined == fp_of(cfg, [1, 2, 3])
-
-
-def test_empty_is_identity():
-    cfg = HashConfig(p=97, delta=10)
-    e = fp_empty()
-    x = fp_of(cfg, [4, 7, 11])
-    assert fp_concat(cfg, e, x) == x
-    assert fp_concat(cfg, x, e) == x
-    assert fp_of(cfg, []) == e
-
-
-def test_concat_matches_direct_evaluation():
-    rng = random.Random(5)
-    for cfg in (HashConfig(p=97, delta=10), HashConfig.from_seed(3),
-                HashConfig.from_seed(4, p=251)):
-        for _ in range(60):
-            a = [rng.randrange(1000) for _ in range(rng.randrange(0, 12))]
-            b = [rng.randrange(1000) for _ in range(rng.randrange(0, 12))]
-            joined = fp_concat(cfg, fp_of(cfg, a), fp_of(cfg, b))
-            assert joined == fp_of(cfg, a + b)
-            assert joined.length == len(a) + len(b)
-
-
-def test_concat_associative():
-    cfg = HashConfig.from_seed(11)
-    rng = random.Random(6)
-    for _ in range(40):
-        xs = [[rng.randrange(50) for _ in range(rng.randrange(0, 6))]
-              for _ in range(3)]
-        f = [fp_of(cfg, x) for x in xs]
-        left = fp_concat(cfg, fp_concat(cfg, f[0], f[1]), f[2])
-        right = fp_concat(cfg, f[0], fp_concat(cfg, f[1], f[2]))
-        assert left == right
+    assert fp_of(cfg, [1, 2]) == 21  # 1 + 2*10
+    g = AvlGrammar(cfg)
+    ab = g.concat(g.leaf(1), g.leaf(2))
+    assert (ab.hash, ab.pow) == (21, 3)  # 10^2 mod 97 = 3
+    abc = g.concat(ab, g.leaf(3))
+    assert abc.hash == 30 == fp_of(cfg, [1, 2, 3])  # 21 + 3*3
+    assert g.substring_fp(abc, 0, 2) == 21
+    assert g.substring_fp(abc, 0, 0) == 0
 
 
 def test_from_seed_deterministic_and_ranged():
@@ -83,5 +44,5 @@ def test_small_modulus_rejected():
 def test_distinct_strings_usually_distinct_fps():
     cfg = HashConfig.from_seed(0)
     strs = [(i, i + 1, i + 2) for i in range(200)]
-    fps = {fp_of(cfg, s).hash for s in strs}
+    fps = {fp_of(cfg, s) for s in strs}
     assert len(fps) == len(strs)

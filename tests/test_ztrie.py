@@ -3,24 +3,24 @@
 import math
 import random
 
-from lzgram import (AvlGrammar, HashConfig, Scheme, fp_concat, fp_empty,
-                    parse_fast, parse_reference, ztrie)
-from lzgram.avlgrammar import Probe
+from lzgram import (AvlGrammar, HashConfig, Scheme, parse_fast,
+                    parse_reference, ztrie)
 from lzgram.ztrie import MarkedAncestorIndex, OrderList, ZTrie, two_fattest
 
-from support import (build_by_copies, copy_of, fp_symbol, random_text,
+from support import (build_by_copies, copy_of, probe_on, random_text,
                      to_symbols, tree_of)
 
 
 class ListProbe:
-    """Probe over an explicit symbol list with O(1) prefix fingerprints."""
+    """Probe over an explicit symbol list with O(1) prefix hashes."""
 
     def __init__(self, cfg, syms):
         self.syms = tuple(syms)
         self.length = len(self.syms)
-        fps = [fp_empty()]
+        fps, pw = [0], 1
         for s in self.syms:
-            fps.append(fp_concat(cfg, fps[-1], fp_symbol(cfg, s)))
+            fps.append((fps[-1] + pw * s) % cfg.p)
+            pw = pw * cfg.delta % cfg.p
         self._fps = fps
 
     def fp(self, k):
@@ -82,7 +82,7 @@ def test_two_fattest_brute_force():
 
 def test_order_list_preserves_insert_order():
     om = OrderList()
-    first = om.insert_first()
+    first = om.insert_after(om.head)
     items = [first]
     for _ in range(50):
         items.append(om.insert_after(items[-1]))
@@ -93,7 +93,7 @@ def test_order_list_preserves_insert_order():
 
 def test_order_list_relabels_under_point_pressure():
     om = OrderList()
-    anchor = om.insert_first()
+    anchor = om.insert_after(om.head)
     squeezed = []
     for _ in range(5000):
         squeezed.append(om.insert_after(anchor))
@@ -106,8 +106,8 @@ def test_order_list_relabels_under_point_pressure():
 
 
 def list_labels(om):
-    out, item = [], om._head.next
-    while item is not om._head:
+    out, item = [], om.head.next
+    while item is not om.head:
         out.append(item.label)
         item = item.next
     return out
@@ -124,7 +124,7 @@ class EulerNode:
             self.open = om.insert_after(parent.close.prev)
             self.close = om.insert_after(self.open)
         else:
-            self.open = om.insert_first()
+            self.open = om.insert_after(om.head)
             self.close = om.insert_after(self.open)
 
 
@@ -151,7 +151,7 @@ RELABEL_C = 0.75
 
 def test_order_list_labels_fit_a_word_and_relabels_stay_local():
     om = OrderList()
-    anchor = om.insert_first()
+    anchor = om.insert_after(om.head)
     squeezed = [om.insert_after(anchor) for _ in range(20000)]
     cases = [(om, [anchor] + squeezed[::-1])]
     rng = random.Random(62)
@@ -244,7 +244,7 @@ def test_marked_ancestor_direct():
             self.close_item = om.insert_after(self.open_item)
 
     om = OrderList()
-    sentinel = om.insert_first()
+    sentinel = om.insert_after(om.head)
     root = Node(None, om, sentinel)
     a = Node(root, om, root.open_item)
     b = Node(a, om, a.open_item)
@@ -268,7 +268,7 @@ def test_empty_trie_locate():
     assert trie.prefix_search(probe) is trie.root
     node, m = trie.locate(probe)
     assert node is trie.root and m == 0
-    assert trie.node_count() == 1
+    assert trie.node_count == 1
 
 
 def test_exact_string_locates_its_node():
@@ -313,9 +313,9 @@ def test_reinsert_only_marks():
     cfg = HashConfig.from_seed(4)
     content = [0, 1, 0, 1]
     g, trie = build_trie(cfg, content, [(0, 3)])
-    count = trie.node_count()
+    count = trie.node_count
     trie.insert(tree_of(g, content[0:3]), ("dup", 0))
-    assert trie.node_count() == count
+    assert trie.node_count == count
     probe = ListProbe(cfg, content[0:3])
     node, m = trie.locate(probe)
     assert trie.nearest_marked(node, m).payload == ("dict", 0)  # first wins
@@ -349,7 +349,7 @@ def test_node_count_bound():
             end = rng.randrange(start + 1, n + 1)
             intervals.append((start, end))
         _, trie = build_trie(cfg, content, intervals)
-        assert trie.node_count() <= 2 * len(intervals) + 1
+        assert trie.node_count <= 2 * len(intervals) + 1
 
 
 def test_locate_against_oracle():
@@ -416,7 +416,7 @@ def test_trie_invariants_after_random_inserts():
                 # gets the payload or a second child in the same insert
                 assert v.payload is not None or len(v.children) >= 2
                 f = two_fattest(v.parent.depth, v.depth)
-                key = (f, g.substring_fp(v.tree, 0, f).hash)
+                key = (f, g.substring_fp(v.tree, 0, f))
                 assert trie.table[key] is v
             for sym, c in v.children.items():
                 assert c.parent is v
@@ -456,7 +456,7 @@ def test_lcp_lower_bound_matches_oracle():
             if rng.random() < 0.5:
                 # a grammar range, usually sharing a prefix with the target
                 a = rng.choice([start, rng.randrange(n)])
-                probe = Probe(g, root, a, rng.randrange(a + 1, n + 1) - a)
+                probe = probe_on(g, root, a, rng.randrange(a + 1, n + 1) - a)
                 syms = content[probe.start:probe.start + probe.length]
             else:
                 syms = content[start:start + rng.randrange(n - start + 1)]
@@ -491,7 +491,7 @@ def test_lcp_descent_on_copy_built_grammars():
             end = min(n, other + length + rng.randrange(1, 30))
             syms = content[other:end]
             if rng.random() < 0.5:
-                probe = Probe(g, root, other, end - other)
+                probe = probe_on(g, root, other, end - other)
             else:
                 j = rng.randrange(length // 2, len(syms))
                 syms[j] = (syms[j] + rng.randrange(1, sigma)) % sigma
@@ -657,6 +657,6 @@ def test_node_hashes_after_plain_inserts():
         while stack:
             v = stack.pop()
             stack.extend(v.children.values())
-            assert v.hash == g.substring_fp(v.tree, 0, v.depth).hash
+            assert v.hash == g.substring_fp(v.tree, 0, v.depth)
             if v.parent is not None and two_fattest(v.parent.depth, v.depth) == v.depth:
                 assert trie.table[(v.depth, v.hash)] is v
