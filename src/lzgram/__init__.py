@@ -32,7 +32,6 @@ from .avlgrammar import AvlGrammar
 from .fast import (
     BlockReader,
     parse_fast,
-    parse_las_vegas,
     parse_las_vegas_detailed,
 )
 from .bench import CSV_HEADER, fit_exponent, run_bench

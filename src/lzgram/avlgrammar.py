@@ -6,8 +6,9 @@ nodes concatenate their children.  `leaf` makes a one-symbol tree and
 rest of both, so a tree built from earlier trees adds O(log n) nodes and the
 grammar stays near z*log(n) nodes for z joins.  Every node caches its length
 and the hash of its expansion with delta^length, which a join composes; a
-query takes the tree it reads and gives substring hashes, symbols and LCPs in
-logarithmic time.
+query takes the tree it reads and gives prefix hashes, symbols and LCPs in
+logarithmic time.  A `Probe` hashes a range inside a tree as a difference of
+two prefix hashes.
 
 All ranges are 0-based half-open.  The `ops` counter tallies node visits and
 node constructions; it is the deterministic work measure used by benchmarks.
@@ -79,69 +80,27 @@ class AvlGrammar:
 
     # -- queries ---------------------------------------------------------
 
-    def _part(self, tree: _Node, start: int, end: int):
-        """(node, off): the topmost node of tree whose children part
-        tree[start:end) (0 < end - start), or the node that is exactly that
-        range; off is where the node's expansion starts."""
-        node, off, ops = tree, 0, 1
-        while start > off or off + node.length > end:
-            mid = off + node.left.length
-            if end <= mid:
-                node = node.left
-            elif start >= mid:
-                node, off = node.right, mid
-            else:
-                break
-            ops += 1
-        self.ops += ops
-        return node, off
-
-    def _suffix_fp(self, node: _Node, off: int, start: int):
-        """(hash, pow) of tree[start:off + node.length), node starting at
-        off <= start: the left boundary path, whole right siblings prepended."""
-        p = self.cfg.p
-        h, pw, ops = 0, 1, 1
-        while start > off:
-            mid = off + node.left.length
-            if start < mid:
-                right = node.right
-                h = (right.hash + right.pow * h) % p
-                pw = pw * right.pow % p
-                node = node.left
-                ops += 2
-            else:
-                node, off = node.right, mid
-                ops += 1
-        self.ops += ops
-        return (node.hash + node.pow * h) % p, pw * node.pow % p
-
-    def substring_fp(self, tree: _Node | None, start: int, end: int) -> int:
-        """Hash of tree[start:end) in one walk: down to the node where start
-        and end part, then along both boundary paths.  An empty range hashes
-        to 0 and needs no tree (the trie root has none)."""
-        if start == end:
+    def prefix_fp(self, tree: _Node | None, end: int) -> int:
+        """Hash of tree[0:end) in one root-to-leaf descent that appends whole
+        left siblings.  An empty prefix hashes to 0 and needs no tree (the
+        trie root has none)."""
+        if end == 0:
             return 0
-        if not 0 <= start < end <= tree.length:
-            raise ValueError(f"range [{start},{end}) outside the tree")
-        node, off = self._part(tree, start, end)
-        if end - start == node.length:
-            return node.hash
+        if not 0 < end <= tree.length:
+            raise ValueError(f"prefix [0,{end}) outside the tree")
         p = self.cfg.p
-        h, pw = self._suffix_fp(node.left, off, start)
-        # the right boundary path, whole left siblings appended
-        off += node.left.length
-        node, ops = node.right, 1
-        while off + node.length > end:
+        node, h, pw, ops = tree, 0, 1, 1
+        while end < node.length:
             left = node.left
-            mid = off + left.length
-            if mid < end:
-                h = (h + pw * left.hash) % p
-                pw = pw * left.pow % p
-                node, off = node.right, mid
-                ops += 2
-            else:
+            if end <= left.length:
                 node = left
                 ops += 1
+            else:
+                h = (h + pw * left.hash) % p
+                pw = pw * left.pow % p
+                end -= left.length
+                node = node.right
+                ops += 2
         self.ops += ops
         return (h + pw * node.hash) % p
 
@@ -177,7 +136,7 @@ class AvlGrammar:
             return lo
         # equal lengths make equal pows: the hashes decide
         if full is None or hi < max_len:
-            full = self.substring_fp(tree, 0, hi)
+            full = self.prefix_fp(tree, hi)
         if probe.fp(hi) == full:
             return hi
         p = self.cfg.p
@@ -226,7 +185,8 @@ class Probe:
     """
 
     __slots__ = ("g", "cfg", "tree", "start", "glen", "length", "_gh", "_gpow",
-                 "_q", "_sym", "_tail", "_th", "_dpow", "_dinvpow", "_dinv", "_toff")
+                 "_sh", "_sinv", "_q", "_sym", "_tail", "_th", "_dpow",
+                 "_dinvpow", "_dinv", "_toff")
 
     def __init__(self, g: AvlGrammar):
         self.g = g
@@ -238,19 +198,25 @@ class Probe:
         self.rebase(None, 0, 0, [])
 
     def fp(self, q: int) -> int:
-        """Hash of the probe's first q symbols."""
-        glen = self.glen
-        if q <= glen:
-            return self.g.substring_fp(self.tree, self.start, self.start + q)
-        p = self.cfg.p
-        a = self._toff
-        h = (self._th[a + q - glen] - self._th[a]) * self._dinvpow[a] % p
-        if glen == 0:
-            return h
-        if self._gh is None:  # the grammar part's hash and delta^glen
-            self._gh = self.g.substring_fp(self.tree, self.start, self.start + glen)
-            self._gpow = pow(self.cfg.delta, glen, p)
-        return (self._gh + self._gpow * h) % p
+        """Hash of the probe's first q symbols.  A range of the tree or of
+        the tail hashes as (P(b) - P(a)) * delta^-a over its prefix hashes P."""
+        glen, p = self.glen, self.cfg.p
+        if q > glen:
+            a = self._toff
+            h = (self._th[a + q - glen] - self._th[a]) * self._dinvpow[a] % p
+            if glen == 0:
+                return h
+            if self._gh is None:  # the grammar part's hash and delta^glen
+                self._gh = self.fp(glen)
+                self._gpow = pow(self.cfg.delta, glen, p)
+            return (self._gh + self._gpow * h) % p
+        start, g = self.start, self.g
+        if start == 0 or q == 0:  # an empty grammar part may have no tree
+            return g.prefix_fp(self.tree, q)
+        if self._sh is None:  # P(start) and delta^-start
+            self._sh = g.prefix_fp(self.tree, start)
+            self._sinv = pow(self._dinv, start, p)
+        return (g.prefix_fp(self.tree, start + q) - self._sh) * self._sinv % p
 
     def symbol_at(self, q: int) -> int:
         if q >= self.glen:
@@ -267,7 +233,7 @@ class Probe:
         self.start = start
         self.glen = length
         self.length = length + len(tail)
-        self._gh = None
+        self._gh = self._sh = None
         self._q = -1
         # logical tail = _tail[_toff:]; _th holds rolling prefix hashes of
         # _tail from its absolute start, left unreduced mod p until read;
@@ -286,7 +252,7 @@ class Probe:
     def consume(self, k: int) -> None:
         """Drop the first k symbols (they were just parsed)."""
         self.length -= k
-        self._gh = None
+        self._gh = self._sh = None
         self._q = -1
         if k <= self.glen:
             self.start += k

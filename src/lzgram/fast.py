@@ -10,8 +10,8 @@ descent, so each part costs polylog work beyond the symbols read.  The parsed
 prefix itself is not kept.
 
 The core is Monte-Carlo: fingerprint collisions can produce a wrong parsing
-(never a crash).  `parse_las_vegas` re-reads the input and retries with a
-fresh hash base until the parsing spells the input, at the cost of an
+(never a crash).  `parse_las_vegas_detailed` re-reads the input and retries
+with a fresh hash base until the parsing spells the input, at the cost of an
 expected single extra pass.  It does not check greediness: at modulus 31,
 LZMW on one 113-symbol text returns 42 phrases for the reference's 41 for
 75 of seeds 0-299, a parsing that spells the input but strict verification
@@ -35,26 +35,18 @@ from .ztrie import ZTrie
 class BlockReader:
     """Sequential symbol source, delivering each symbol exactly once.
 
-    Block length is max(16, ceil(log2 n)^2) when the total length is known.
-    For unknown-length streams the block length follows a doubling estimate
-    (twice the symbols delivered so far), so it settles within a constant
-    factor of the known-length choice.
+    The source must be sized: block length is max(16, ceil(log2 n)^2) for
+    its length n, which a lazy source may report before it is read.
     """
 
     def __init__(self, source):
-        try:
-            self.known_length = len(source)
-        except TypeError:
-            self.known_length = None
+        self.length = len(source)
         self._it = iter(source)
         self.delivered = 0
         self.blocks_read = 0
 
     def block_length(self) -> int:
-        base = self.known_length
-        if base is None:
-            base = 2 * (self.delivered + 1)
-        return max(16, math.ceil(math.log2(max(base, 2))) ** 2)
+        return max(16, math.ceil(math.log2(max(self.length, 2))) ** 2)
 
     def read_block(self) -> list:
         """The next block; empty once the input is exhausted."""
@@ -173,7 +165,7 @@ class _Engine:
 
 def parse_fast(text, scheme: Scheme, cfg: HashConfig | None = None,
                seed: int = 0) -> FastResult:
-    """Single-pass greedy parse of a model Text or any symbol iterable;
+    """Single-pass greedy parse of a model Text or any sized symbol iterable;
     Monte-Carlo correct."""
     if cfg is None:
         cfg = HashConfig.from_seed(seed)
@@ -188,8 +180,8 @@ def parse_las_vegas_detailed(make_reader, scheme: Scheme, seed: int = 0,
     """Verified parse: rerun with fresh hash bases until the output expands
     back to the input.
 
-    make_reader() must return a fresh iterable over the input symbols each
-    call (two calls per attempt: one to parse, one to verify).
+    make_reader() must return a fresh sized iterable over the input symbols
+    each call (two calls per attempt: one to parse, one to verify).
     """
     rng = random.Random(seed)
     for attempt in range(1, max_attempts + 1):
@@ -201,8 +193,3 @@ def parse_las_vegas_detailed(make_reader, scheme: Scheme, seed: int = 0,
         # free them before the next attempt builds its own
         gc.collect()
     raise RuntimeError(f"no verified parsing after {max_attempts} attempts")
-
-
-def parse_las_vegas(make_reader, scheme: Scheme, seed: int = 0,
-                    p: int = MERSENNE61) -> Parsing:
-    return parse_las_vegas_detailed(make_reader, scheme, seed, p).parsing

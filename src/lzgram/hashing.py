@@ -2,7 +2,9 @@
 
 The fingerprint of a symbol sequence s is its hash sum(s[i] * delta^i) mod p;
 the hash of s then t is hash(s) + delta^len(s) * hash(t), so a grammar node
-keeps delta^len mod p next to its hash to compose them in O(1).
+keeps delta^len mod p next to its hash to compose them in O(1).  Every range,
+of a grammar tree or of a raw tail, hashes by one rule over its sequence's
+prefix hashes P: hash(s[a:b)) = (P(b) - P(a)) * delta^-a mod p.
 """
 
 from __future__ import annotations

@@ -246,7 +246,7 @@ class ZTrie:
 
     def _register(self, node: _TrieNode) -> None:
         f = two_fattest(node.parent.depth, node.depth)
-        h = self.g.substring_fp(node.tree, 0, f) if f < node.depth else node.hash
+        h = self.g.prefix_fp(node.tree, f) if f < node.depth else node.hash
         self.table[(f, h)] = node
 
     def _new_leaf(self, parent, tree) -> _TrieNode:
@@ -309,7 +309,7 @@ class ZTrie:
         # the split point's own string, not the inserted one: they differ
         # when a fingerprint collision led the search here
         mid = _TrieNode(v, mid_depth, c.tree,
-                        self.g.substring_fp(c.tree, 0, mid_depth))
+                        self.g.prefix_fp(c.tree, mid_depth))
         mid.open_item = self.om.insert_after(c.open_item.prev)
         mid.close_item = self.om.insert_after(c.close_item)
         self.node_count += 1

@@ -11,7 +11,7 @@ PUBLIC = [
     "PhraseIndex", "Ref", "Scheme", "Term", "Text", "check_lzd_distinct",
     "check_lzmw_pair_distinct", "expand_grammar", "expand_parsing",
     "fit_exponent", "lzd_parse_reference", "lzmw_parse_reference", "make_text",
-    "parse_fast", "parse_las_vegas", "parse_las_vegas_detailed", "parse_naive",
+    "parse_fast", "parse_las_vegas_detailed", "parse_naive",
     "parse_reference", "parsing_to_grammar", "phrase_expansions",
     "phrase_lengths", "run_bench", "validate_grammar", "verify_parsing",
 ]

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from lzgram import AvlGrammar, HashConfig, Scheme
+from lzgram import MERSENNE61, AvlGrammar, HashConfig, Scheme
 from lzgram.adversarial import FAMILIES
 from lzgram.avlgrammar import Probe
 
@@ -13,9 +13,10 @@ from support import (build_by_copies, copy_of, cover, engine_parse, extract,
                      fp_of, probe_on, random_text, to_symbols, tree_of)
 
 
-def build_random(rng, steps, sigma=4, copy_cap=400, length_cap=6000):
+def build_random(rng, steps, sigma=4, copy_cap=400, length_cap=6000,
+                 p=MERSENNE61):
     """A tree over a text made of literals and copies of its earlier ranges."""
-    cfg = HashConfig.from_seed(rng.randrange(1 << 30))
+    cfg = HashConfig.from_seed(rng.randrange(1 << 30), p)
     g = AvlGrammar(cfg)
     sym = rng.randrange(sigma)
     root, model = g.leaf(sym), [sym]
@@ -56,7 +57,7 @@ def assert_avl(cfg, node, seen=None):
 def test_empty_grammar():
     g = AvlGrammar(HashConfig.from_seed(0))
     # an empty range needs no tree: the trie root has none
-    assert g.substring_fp(None, 0, 0) == 0
+    assert g.prefix_fp(None, 0) == 0
     assert g.reachable_nodes([]) == 0
     assert g.ops == 0
 
@@ -89,7 +90,9 @@ def test_substring_fingerprints_match_oracle():
         for _ in range(150):
             a = rng.randrange(len(model) + 1)
             b = rng.randrange(a, len(model) + 1)
-            assert g.substring_fp(root, a, b) == fp_of(cfg, model[a:b])
+            assert g.prefix_fp(root, b) == fp_of(cfg, model[:b])
+            # a range inside a tree is a probe's to hash
+            assert probe_on(g, root, a, b - a).fp(b - a) == fp_of(cfg, model[a:b])
 
 
 PHI = (1 + 5 ** 0.5) / 2
@@ -130,13 +133,14 @@ def test_copy_sharing_keeps_node_count_logarithmic():
 def test_query_range_validation():
     g = AvlGrammar(HashConfig.from_seed(1))
     t = tree_of(g, [0, 1])
-    for a, b in ((0, 5), (2, 1), (-1, 1)):
+    for i in (3, -1):
         with pytest.raises(ValueError):
-            g.substring_fp(t, a, b)
+            g.prefix_fp(t, i)
     for i in (2, -1):
         with pytest.raises(ValueError):
             g.symbol_at(t, i)
-    assert g.substring_fp(t, 5, 5) == 0  # an empty range reads nothing
+    assert g.prefix_fp(t, 0) == 0  # an empty prefix reads nothing
+    assert probe_on(g, t, 5, 0).fp(0) == 0  # nor does an empty range
 
 
 def test_ops_counter_monotone():
@@ -145,7 +149,7 @@ def test_ops_counter_monotone():
     t = tree_of(g, [i % 3 for i in range(20)])
     assert g.ops > before
     before = g.ops
-    g.substring_fp(t, 2, 17)
+    g.prefix_fp(t, 17)
     assert g.ops > before
 
 
@@ -155,9 +159,21 @@ def cover_visits(g, tree, start, end):
     return g.ops - before
 
 
+def assert_probe_range(g, tree, model, start, end):
+    """A probe hashes tree[start:end) exactly, visiting the nodes of one
+    prefix descent per end of the range, none for an end at 0."""
+    before = g.ops
+    probe = probe_on(g, tree, start, end - start)
+    assert probe.fp(end - start) == fp_of(g.cfg, model[start:end])
+    visits = g.ops - before
+    assert visits == (cover_visits(g, tree, 0, start) if start else 0) \
+        + cover_visits(g, tree, 0, end)
+
+
 def test_one_walk_queries_on_copy_built_grammars():
     # ops counts node visits: one query visits exactly the nodes that the
-    # range's tiling walk (cover) visits
+    # range's tiling walk (cover) visits, and a probe's range hash costs the
+    # two prefix descents of its ends
     rng = random.Random(31337)
     for length in (1, 2, 3, 40, 90, 150):
         cfg, g, root, model, _ = build_by_copies(rng, length)
@@ -166,18 +182,20 @@ def test_one_walk_queries_on_copy_built_grammars():
             before = g.ops
             assert g.symbol_at(root, a) == model[a]
             assert g.ops - before == cover_visits(g, root, a, a + 1)
+            before = g.ops
+            assert g.prefix_fp(root, a + 1) == fp_of(cfg, model[:a + 1])
+            assert g.ops - before == cover_visits(g, root, 0, a + 1)
             for b in range(a + 1, len(model) + 1):
-                before = g.ops
-                assert g.substring_fp(root, a, b) == fp_of(cfg, model[a:b])
-                assert g.ops - before == cover_visits(g, root, a, b)
+                assert_probe_range(g, root, model, a, b)
     cfg, g, root, model, _ = build_by_copies(rng, 20000)
     assert root.height >= 12
     for _ in range(400):
         a = rng.randrange(len(model))
         b = rng.randrange(a + 1, len(model) + 1)
         before = g.ops
-        assert g.substring_fp(root, a, b) == fp_of(cfg, model[a:b])
-        assert g.ops - before == cover_visits(g, root, a, b)
+        assert g.prefix_fp(root, b) == fp_of(cfg, model[:b])
+        assert g.ops - before == cover_visits(g, root, 0, b)
+        assert_probe_range(g, root, model, a, b)
         assert g.symbol_at(root, a) == model[a]
 
 
@@ -205,11 +223,14 @@ def test_probe_keeps_last_grammar_symbol_until_moved():
 
 
 def test_probe_hashes_every_prefix_across_moves():
-    # fp keeps the tree part's hash and delta^glen until the probe moves; a
-    # stale pair would hash every prefix that reaches into the tail wrongly
+    # fp keeps P(start) and delta^-start, and the tree part's hash and
+    # delta^glen, until the probe moves; a stale pair would hash the tree
+    # part or every prefix that reaches into the tail wrongly.  A small
+    # modulus wraps the difference of prefix hashes below 0 often.
     rng = random.Random(2718)
-    for _ in range(6):
-        cfg, g, root, model = build_random(rng, 40)
+    for trial in range(12):
+        cfg, g, root, model = build_random(rng, 40,
+                                           p=31 if trial % 2 else MERSENNE61)
         probe = Probe(g)
         want: list[int] = []  # the probe's string
         for _ in range(40):
@@ -278,4 +299,4 @@ def test_appending_concatenated_trees():
                 trees.append((t, st))
             assert_avl(cfg, root)
             assert to_symbols(root) == tuple(model)
-            assert g.substring_fp(root, 0, len(model)) == fp_of(cfg, model)
+            assert g.prefix_fp(root, len(model)) == fp_of(cfg, model)

@@ -416,7 +416,7 @@ def test_trie_invariants_after_random_inserts():
                 # gets the payload or a second child in the same insert
                 assert v.payload is not None or len(v.children) >= 2
                 f = two_fattest(v.parent.depth, v.depth)
-                key = (f, g.substring_fp(v.tree, 0, f))
+                key = (f, g.prefix_fp(v.tree, f))
                 assert trie.table[key] is v
             for sym, c in v.children.items():
                 assert c.parent is v
@@ -657,6 +657,6 @@ def test_node_hashes_after_plain_inserts():
         while stack:
             v = stack.pop()
             stack.extend(v.children.values())
-            assert v.hash == g.substring_fp(v.tree, 0, v.depth)
+            assert v.hash == g.prefix_fp(v.tree, v.depth)
             if v.parent is not None and two_fattest(v.parent.depth, v.depth) == v.depth:
                 assert trie.table[(v.depth, v.hash)] is v
