@@ -4,11 +4,15 @@ A tree is a height-balanced binary DAG: leaves carry single symbols, internal
 nodes concatenate their children.  `leaf` makes a one-symbol tree and
 `concat` joins two trees with O(|height difference|) new nodes, sharing the
 rest of both, so a tree built from earlier trees adds O(log n) nodes and the
-grammar stays near z*log(n) nodes for z joins.  Every node caches its length
-and the hash of its expansion with delta^length, which a join composes; a
-query takes the tree it reads and gives prefix hashes, symbols and LCPs in
-logarithmic time.  A `Probe` hashes a range inside a tree as a difference of
-two prefix hashes.
+grammar stays near z*log(n) nodes for z joins.  A phrase tree of the
+streaming engine may be "lazy" until the phrase is first cited: one `_mk`
+root over two AVL trees whose heights differ by 2 or more, one level above
+the taller.  Queries read it like any tree; `concat` needs AVL inputs, so
+the engine joins a lazy root's two children before it uses the phrase as a
+part.  Every node caches its length and the hash of its expansion with
+delta^length, which a join composes; a query takes the tree it reads and
+gives prefix hashes, symbols and LCPs in logarithmic time.  A `Probe` hashes
+a range inside a tree as a difference of two prefix hashes.
 
 All ranges are 0-based half-open.  The `ops` counter tallies node visits and
 node constructions; it is the deterministic work measure used by benchmarks.

@@ -2,12 +2,12 @@
 
 The engine reads the input once, in blocks, and keeps three structures in
 sync: a balanced grammar with one tree per dictionary phrase (a fresh
-symbol's leaf, or the two trees of its parts joined), a fingerprint-indexed
-trie whose nodes read their strings from those trees, and the unconsumed
-lookahead ("carry"), a prefix of a phrase tree followed by fresh symbols.
-Greedy matches are found by fingerprint search instead of symbol-by-symbol
-descent, so each part costs polylog work beyond the symbols read.  The parsed
-prefix itself is not kept.
+symbol's leaf, or one node over its two parts' trees, balanced when the
+phrase is first cited), a fingerprint-indexed trie whose nodes read their
+strings from those trees, and the unconsumed lookahead ("carry"), a prefix
+of a phrase tree followed by fresh symbols.  Greedy matches are found by
+fingerprint search instead of symbol-by-symbol descent, so each part costs
+polylog work beyond the symbols read.  The parsed prefix itself is not kept.
 
 The core is Monte-Carlo: fingerprint collisions can produce a wrong parsing
 (never a crash).  `parse_las_vegas_detailed` re-reads the input and retries
@@ -20,7 +20,6 @@ rejects.
 
 from __future__ import annotations
 
-import gc
 import math
 import random
 from dataclasses import dataclass, replace
@@ -129,27 +128,48 @@ class _Engine:
         else:
             part, plen = w.payload, w.depth
             tree = trees[part]
+            if tree.sym is None and abs(tree.left.height - tree.right.height) > 1:
+                # first citation of a lazy phrase: balance it, and point the
+                # trie nodes that read the lazy root (w and the split nodes
+                # just above it) at the balanced tree, so the root can go
+                old, tree = tree, self.g.concat(tree.left, tree.right)
+                trees[part] = tree
+                while w.tree is old:
+                    w.tree, w = tree, w.parent
         self._last = (self._last[1], (tree, (v, m)))
         carry.consume(plen)
         self.parts += 1
         return part, plen
 
     def add(self, start: int, end: int, ref) -> None:
-        """Enter the phrase content[start:end), the last two parts, as their
-        trees joined, at the locus the first part's search found; the string
-        searched starts with the phrase."""
+        """Enter the phrase content[start:end), the last two parts, at the
+        locus the first part's search found; the string searched starts with
+        the phrase.  Its tree is one node over the parts' trees, the rule
+        X -> YZ.  Unless their heights differ by at most 1 that root is
+        "lazy", not AVL: next_part balances it when the phrase is first cited
+        as a part, and most phrases never are."""
         (a, locus), (b, _) = self._last
-        tree = self._trees[ref] = self.g.concat(a, b)
+        tree = self._trees[ref] = self.g._mk(a, b)
         self.trie.insert(tree, ref, at=locus)
 
     def stats(self) -> FastStats:
         """The run's counters; this ends the engine.  grammar_nodes counts
         the nodes of the phrase trees, the whole grammar; the trie and carry
-        go before that walk, so it does not set the run's peak memory."""
-        trie_ops, ma_ops = self.trie.ops, self.trie.ma.ops
-        trie_nodes = self.trie.node_count
+        are freed before that walk, so it does not set the run's peak memory."""
+        trie = self.trie
+        trie_ops, ma_ops = trie.ops, trie.ma.ops
+        trie_nodes = trie.node_count
         trees = self._trees
-        self.trie = self.carry = self._trees = self._last = None
+        # the trie's parent/children links and the circular order list are
+        # reference cycles: cut them so that both go now, not at the next
+        # cyclic collection.  Every non-root node owns a table key (one whose
+        # key a collision took is left to the collector)
+        for u in trie.table.values():
+            u.parent = None
+        item = trie.om.head
+        while item.next is not None:
+            item.prev, item.next, item = None, None, item.next
+        self.trie = self.carry = self._trees = self._last = trie = None
         return FastStats(
             symbols_read=self.reader.delivered,
             blocks_read=self.reader.blocks_read,
@@ -189,7 +209,4 @@ def parse_las_vegas_detailed(make_reader, scheme: Scheme, seed: int = 0,
         res = parse_fast(make_reader(), scheme, cfg=cfg)
         if phrase_ends(tuple(make_reader()), res.parsing) is not None:
             return replace(res, attempts=attempt)
-        # the rejected engine's trie and order list are reference cycles:
-        # free them before the next attempt builds its own
-        gc.collect()
     raise RuntimeError(f"no verified parsing after {max_attempts} attempts")

@@ -305,17 +305,9 @@ def _fold_phrases(parts, leaf) -> list:
     return out
 
 
-def _length(symbol: int) -> int:
-    return 1
-
-
-def _expansion(symbol: int) -> tuple:
-    return (symbol,)
-
-
 def phrase_expansions(parsing: Parsing) -> list[tuple]:
     """Expanded string of every phrase, in order. Raises GrammarError on bad refs."""
-    return _fold_phrases(_phrase_parts(parsing), _expansion)
+    return _fold_phrases(_phrase_parts(parsing), lambda symbol: (symbol,))
 
 
 def phrase_lengths(parsing: Parsing) -> list[int]:
@@ -324,7 +316,7 @@ def phrase_lengths(parsing: Parsing) -> list[int]:
     A malformed parsing can describe expansions exponentially longer than any
     source text; this measures them without building them.
     """
-    return _fold_phrases(_phrase_parts(parsing), _length)
+    return _fold_phrases(_phrase_parts(parsing), lambda symbol: 1)
 
 
 def expand_parsing(parsing: Parsing) -> tuple:

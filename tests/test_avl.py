@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from lzgram import MERSENNE61, AvlGrammar, HashConfig, Scheme
+from lzgram import (MERSENNE61, AvlGrammar, HashConfig, PairIndex, PhraseIndex,
+                    Scheme)
 from lzgram.adversarial import FAMILIES
 from lzgram.avlgrammar import Probe
 
@@ -98,10 +99,30 @@ def test_substring_fingerprints_match_oracle():
 PHI = (1 + 5 ** 0.5) / 2
 
 
-def test_height_balanced():
-    # every phrase tree the engine builds is AVL with exact cached fields;
-    # an AVL tree of height h has at least Fib(h + 1) >= PHI ** (h - 1)
-    # leaves
+def is_lazy(tree):
+    return tree.sym is None and abs(tree.left.height - tree.right.height) >= 2
+
+
+def assert_phrase_tree(cfg, tree, seen):
+    """An AVL tree, or a lazy root: one node with exact cached fields over
+    two AVL trees whose heights differ by 2 or more.  An AVL tree of height h
+    has at least Fib(h + 1) >= PHI ** (h - 1) leaves, and a lazy root is one
+    level above its taller child."""
+    if is_lazy(tree):
+        l, r = tree.left, tree.right
+        want = (max(assert_avl(cfg, l, seen), assert_avl(cfg, r, seen)) + 1,
+                l.length + r.length, (l.hash + l.pow * r.hash) % cfg.p,
+                l.pow * r.pow % cfg.p)
+        assert (tree.height, tree.length, tree.hash, tree.pow) == want
+        assert tree.height <= 2 + math.log(tree.length, PHI)
+    else:
+        assert_avl(cfg, tree, seen)
+        assert tree.height <= 1 + math.log(tree.length, PHI)
+
+
+def engine_runs():
+    """(cfg, engine, parsing) for the slow families at k=8 and 50 random
+    texts, at the default modulus."""
     runs = []
     for name in ("lzd-slow", "lzmw-slow"):
         gen, scheme, _ = FAMILIES[name]
@@ -112,11 +133,42 @@ def test_height_balanced():
         runs.append((text.symbols, Scheme.LZD if trial % 2 == 0 else Scheme.LZMW))
     for seed, (syms, scheme) in enumerate(runs):
         cfg = HashConfig.from_seed(seed)
-        eng, _ = engine_parse(syms, scheme, cfg)
+        yield (cfg, *engine_parse(syms, scheme, cfg))
+
+
+def test_height_balanced():
+    # every phrase tree the engine builds is AVL or, until the phrase is
+    # first cited as a part, a lazy root over two AVL trees
+    for cfg, eng, _ in engine_runs():
         seen = set()
         for tree in eng._trees.values():
-            assert_avl(cfg, tree, seen)
-            assert tree.height <= 1 + math.log(tree.length, PHI)
+            assert_phrase_tree(cfg, tree, seen)
+
+
+def test_cited_phrases_are_balanced_and_repointed():
+    # a phrase cited as a part was balanced at its first citation, and the
+    # trie nodes that read its lazy root now read the balanced tree: the only
+    # lazy roots left in the trie are trees of phrases never cited
+    lazy_runs = 0
+    for cfg, eng, parsing in engine_runs():
+        if parsing.scheme is Scheme.LZD:
+            parts = [part for ph in parsing.phrases
+                     for part in (ph.first, ph.second)]
+        else:
+            parts = parsing.phrases
+        cited = {part for part in parts if isinstance(part, (PhraseIndex, PairIndex))}
+        seen = set()
+        for ref in cited:
+            assert_avl(cfg, eng._trees[ref], seen)
+        uncited = {id(tree) for ref, tree in eng._trees.items() if ref not in cited}
+        stack = list(eng.trie.root.children.values())
+        while stack:
+            v = stack.pop()
+            stack.extend(v.children.values())
+            if is_lazy(v.tree):
+                assert id(v.tree) in uncited
+        lazy_runs += any(map(is_lazy, eng._trees.values()))
+    assert lazy_runs > 0
 
 
 def test_copy_sharing_keeps_node_count_logarithmic():

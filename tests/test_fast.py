@@ -1,6 +1,7 @@
 """Single-pass engine: block reading, Monte-Carlo parse, Las-Vegas wrapper."""
 
 import dataclasses
+import gc
 import math
 import random
 import tracemalloc
@@ -182,10 +183,10 @@ def test_slow_family_k16_agreement():
 # structures change; the other five fields are fixed by the parsing and the
 # block reader.
 PINNED_FAST_STATS = {
-    "lzd-slow": (13123, 67, 885, 818, 18103, 4970, 4800, 654, 1131),
-    "lzmw-slow": (7870, 47, 694, 647, 15033, 3549, 5361, 914, 1724),
-    "random-lzd": (1200, 10, 492, 482, 2876, 1631, 1228, 291, 292),
-    "random-lzmw": (1200, 10, 448, 438, 4848, 1519, 1858, 541, 501),
+    "lzd-slow": (13123, 67, 885, 818, 20316, 4970, 4800, 654, 1066),
+    "lzmw-slow": (7870, 47, 694, 647, 15126, 3549, 5361, 914, 1105),
+    "random-lzd": (1200, 10, 492, 482, 2888, 1631, 1228, 291, 261),
+    "random-lzmw": (1200, 10, 448, 438, 4898, 1519, 1858, 541, 463),
 }
 
 
@@ -277,9 +278,27 @@ def test_stats_walk_stays_under_the_parse_peak():
     assert peak <= 1.02 * parse_peak
 
 
+def test_engine_is_freed_when_parse_fast_returns():
+    # stats() cuts the trie's and the order list's reference cycles, so only
+    # the result outlives parse_fast, even with the cyclic collector off
+    gen, scheme, _ = FAMILIES["lzmw-slow"]
+    text = gen(16)
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        res = parse_fast(text, scheme)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert live < 0.5 * 2 ** 20
+
+
 def test_rejected_attempt_is_freed_before_the_next():
-    # a rejected engine's trie and order list are reference cycles; the
-    # wrapper collects them, so a retry peaks like a single parse
+    # stats() frees a rejected engine's trie and order list, so a retry
+    # peaks like a single parse
     gen, scheme, _ = FAMILIES["lzd-slow"]
     syms = gen(8).symbols
 
