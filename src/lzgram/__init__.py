@@ -10,8 +10,6 @@ from .model import (
     LzdPhrase,
     Parsing,
     Grammar,
-    Term,
-    Ref,
     GrammarError,
     lzd_parse_reference,
     lzmw_parse_reference,

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, islice
 
-from .model import Grammar, Ref, Scheme, Term, Text, make_text
+from .model import Grammar, Literal, Scheme, Text, make_text
 
 _A, _B, _C, _D = 0, 1, 2, 3
 
@@ -104,12 +104,12 @@ class _Builder:
 def _delta_x_rules(g: _Builder, a_chain: list[int], k: int):
     """Rules for delta_0..delta_k and for x, as `_delta` and `_approx_x`
     spell them; returns (delta rule ids, x rule id)."""
-    deltas = [g.rule([Ref(a_chain[i]), Term(_B), Term(_B), Ref(a_chain[k - i])])
+    deltas = [g.rule([a_chain[i], Literal(_B), Literal(_B), a_chain[k - i]])
               for i in range(k + 1)]
     x_rhs: list = []
     for j in range(k - 1, k // 2, -1):
-        x_rhs += [Ref(deltas[k]), Ref(deltas[j])]
-    x_rhs += [Ref(deltas[k]), Ref(a_chain[k - 1])]
+        x_rhs += [deltas[k], deltas[j]]
+    x_rhs += [deltas[k], a_chain[k - 1]]
     return deltas, g.rule(x_rhs)
 
 
@@ -118,22 +118,22 @@ def small_grammar_lzmw(k: int) -> Grammar:
     g = _Builder()
     a_chain = [g.rule([])]
     for i in range(1, 2 * k + 1):
-        a_chain.append(g.rule([Ref(a_chain[i - 1]), Term(_A)]))
-    b_chain = [g.rule([Term(_C)])]
+        a_chain.append(g.rule([a_chain[i - 1], Literal(_A)]))
+    b_chain = [g.rule([Literal(_C)])]
     for i in range(1, 2 * k + 1):
-        b_chain.append(g.rule([Ref(b_chain[i - 1]), Term(_B), Ref(a_chain[i])]))
-    gammas = [g.rule([Term(_B), Ref(a_chain[2 * i + 1]), Term(_B), Ref(b_chain[i])])
+        b_chain.append(g.rule([b_chain[i - 1], Literal(_B), a_chain[i]]))
+    gammas = [g.rule([Literal(_B), a_chain[2 * i + 1], Literal(_B), b_chain[i]])
               for i in range(k)]
     deltas, x_rule = _delta_x_rules(g, a_chain, k)
-    s_rhs: list = [Ref(gi) for gi in gammas]
+    s_rhs: list = list(gammas)
     for i in range(k + 1):
-        s_rhs += [Ref(deltas[i]), Term(_D)]
+        s_rhs += [deltas[i], Literal(_D)]
     p = 1
     while p <= k // 2:
-        s_rhs += [Term(_C), Ref(a_chain[3 * p - 1])]
+        s_rhs += [Literal(_C), a_chain[3 * p - 1]]
         p *= 2
-    s_rhs += [Term(_D), Term(_C)]
-    s_rhs += [Ref(x_rule)] * (k // 2)
+    s_rhs += [Literal(_D), Literal(_C)]
+    s_rhs += [x_rule] * (k // 2)
     return g.grammar(g.rule(s_rhs))
 
 
@@ -144,19 +144,19 @@ def small_grammar_lzd(k: int) -> Grammar:
     c_chain = [g.rule([])]
     d_chain = [g.rule([])]
     for i in range(1, k + 3):
-        a_chain.append(g.rule([Ref(a_chain[i - 1]), Term(_A)]))
-        c_chain.append(g.rule([Ref(c_chain[i - 1]), Term(_C)]))
-        d_chain.append(g.rule([Ref(d_chain[i - 1]), Term(_D)]))
+        a_chain.append(g.rule([a_chain[i - 1], Literal(_A)]))
+        c_chain.append(g.rule([c_chain[i - 1], Literal(_C)]))
+        d_chain.append(g.rule([d_chain[i - 1], Literal(_D)]))
     deltas, x_rule = _delta_x_rules(g, a_chain, k)
     s_rhs: list = []
     for i in range(2, k + 1):
-        s_rhs += [Ref(a_chain[i]), Ref(c_chain[i])]
-    s_rhs += [Term(_B), Term(_B)]
+        s_rhs += [a_chain[i], c_chain[i]]
+    s_rhs += [Literal(_B), Literal(_B)]
     for i in range(1, k):
-        s_rhs += [Ref(a_chain[i]), Term(_B), Term(_B)]
+        s_rhs += [a_chain[i], Literal(_B), Literal(_B)]
     for i in range(k + 1):
-        s_rhs += [Ref(deltas[i]), Ref(d_chain[i + 2])]
-    s_rhs += [Ref(x_rule)] * (k // 2)
+        s_rhs += [deltas[i], d_chain[i + 2]]
+    s_rhs += [x_rule] * (k // 2)
     return g.grammar(g.rule(s_rhs))
 
 

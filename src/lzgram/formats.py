@@ -63,7 +63,10 @@ def load_text(data: bytes) -> Text:
 def dump_text_raw(text: Text) -> bytes:
     if text.alphabet_bound > 256:
         raise FormatError("raw byte format requires alphabet_bound <= 256")
-    return bytes(text.symbols)
+    data = bytes(text.symbols)
+    if data.startswith(b"#sigma"):
+        raise FormatError("a raw text starting with '#sigma' reads back as sym")
+    return data
 
 
 def load_text_raw(data: bytes) -> Text:

@@ -44,6 +44,8 @@ class HashConfig:
     def __post_init__(self):
         if not (3 <= self.p < 1 << 64 and _is_prime(self.p)):
             raise ValueError(f"modulus {self.p} is not a prime in [3, 2^64)")
+        if not 1 <= self.delta < self.p:
+            raise ValueError(f"base {self.delta} is outside [1, {self.p - 1}]")
 
     @staticmethod
     def from_seed(seed: int, p: int = MERSENNE61) -> "HashConfig":

@@ -252,36 +252,36 @@ def greedy_parse(scheme: Scheme, next_part, add) -> Parsing:
 
 
 def _phrase_parts(parsing: Parsing):
-    """The parts of every phrase, in order, as pairs (first, second).
+    """The parts of every phrase, in order, as a 1- or 2-tuple.
 
-    A part is a Literal or the 1-based number of an earlier phrase; second
-    is None for a one-part phrase.  An LZMW pair reference p_j p_(j+1) is
-    the parts (j, j + 1).  Raises GrammarError on bad refs.
+    A part is a Literal or the 1-based number of an earlier phrase, the rule
+    format of `Grammar`.  An LZMW pair reference p_j p_(j+1) is the parts
+    (j, j + 1).  Raises GrammarError on bad refs.
     """
     phrases = parsing.phrases
     if parsing.scheme is Scheme.LZD:
-        def earlier(i: int, part) -> int:
-            if not isinstance(part, PhraseIndex):
-                raise GrammarError(f"phrase {i}: bad part {part!r}")
-            if not (1 <= part.index < i):
-                raise GrammarError(f"phrase {i}: bad phrase reference {part.index}")
-            return part.index
+        def part(i: int, ref) -> Literal | int:
+            if isinstance(ref, Literal):
+                return ref
+            if not isinstance(ref, PhraseIndex):
+                raise GrammarError(f"phrase {i}: bad part {ref!r}")
+            if not (1 <= ref.index < i):
+                raise GrammarError(f"phrase {i}: bad phrase reference {ref.index}")
+            return ref.index
 
         for i, ph in enumerate(phrases, start=1):
             if not isinstance(ph, LzdPhrase):
                 raise GrammarError(f"phrase {i}: not an LZD phrase")
-            first, second = ph.first, ph.second
-            if second is None and i != len(phrases):
+            if ph.second is not None:
+                yield part(i, ph.first), part(i, ph.second)
+            elif i == len(phrases):
+                yield (part(i, ph.first),)
+            else:
                 raise GrammarError(f"phrase {i}: one-part phrase before the end")
-            if not isinstance(first, Literal):
-                first = earlier(i, first)
-            if second is not None and not isinstance(second, Literal):
-                second = earlier(i, second)
-            yield first, second
     elif parsing.scheme is Scheme.LZMW:
         for i, ph in enumerate(phrases, start=1):
             if isinstance(ph, Literal):
-                yield ph, None
+                yield (ph,)
             elif not isinstance(ph, PairIndex):
                 raise GrammarError(f"phrase {i}: bad phrase {ph!r}")
             elif not (1 <= ph.index <= i - 2):
@@ -292,22 +292,25 @@ def _phrase_parts(parsing: Parsing):
         raise GrammarError("unknown scheme")
 
 
-def _fold_phrases(parts, leaf) -> list:
-    """Value of every phrase from its parts (see _phrase_parts), in order:
-    leaf(symbol) for a literal, `+` of the values for a reference."""
-    out: list = []
-    for first, second in parts:
-        value = leaf(first.symbol) if isinstance(first, Literal) else out[first - 1]
-        if second is not None:
-            value = value + (leaf(second.symbol) if isinstance(second, Literal)
-                             else out[second - 1])
-        out.append(value)
+def _fold(rules, leaf, join) -> dict:
+    """Value of every rule, over (id, rhs) pairs with each id after the ids
+    its rhs cites: join of the parts' values, leaf(symbol) for a Literal."""
+    out: dict = {}
+    for rid, rhs in rules:
+        out[rid] = join([leaf(p.symbol) if isinstance(p, Literal) else out[p]
+                         for p in rhs])
     return out
+
+
+def _expand(rules) -> dict:
+    """Expanded string of every rule (see _fold)."""
+    return _fold(rules, lambda symbol: (symbol,),
+                 lambda values: tuple(chain.from_iterable(values)))
 
 
 def phrase_expansions(parsing: Parsing) -> list[tuple]:
     """Expanded string of every phrase, in order. Raises GrammarError on bad refs."""
-    return _fold_phrases(_phrase_parts(parsing), lambda symbol: (symbol,))
+    return list(_expand(enumerate(_phrase_parts(parsing), start=1)).values())
 
 
 def phrase_lengths(parsing: Parsing) -> list[int]:
@@ -316,7 +319,8 @@ def phrase_lengths(parsing: Parsing) -> list[int]:
     A malformed parsing can describe expansions exponentially longer than any
     source text; this measures them without building them.
     """
-    return _fold_phrases(_phrase_parts(parsing), lambda symbol: 1)
+    rules = enumerate(_phrase_parts(parsing), start=1)
+    return list(_fold(rules, lambda symbol: 1, sum).values())
 
 
 def expand_parsing(parsing: Parsing) -> tuple:
@@ -335,8 +339,6 @@ def phrase_ends(symbols: tuple, parsing: Parsing) -> list | None:
     try:
         for parts in _phrase_parts(parsing):
             for part in parts:
-                if part is None:
-                    break
                 if isinstance(part, Literal):
                     if pos == n or symbols[pos] != part.symbol:
                         return None
@@ -422,19 +424,10 @@ def check_lzmw_pair_distinct(parsing: Parsing) -> bool:
 
 
 @dataclass(frozen=True)
-class Term:
-    symbol: int
-
-
-@dataclass(frozen=True)
-class Ref:
-    rule: int
-
-
-@dataclass(frozen=True)
 class Grammar:
-    """Straight-line program: rule id -> right-hand side, references only to
-    lower ids (hence acyclic).  `start` is the axiom."""
+    """Straight-line program: rule id -> right-hand side, a tuple of parts,
+    each a Literal for a terminal or the id of a lower rule (hence acyclic).
+    `start` is the axiom."""
 
     productions: dict[int, tuple]
     start: int
@@ -447,39 +440,27 @@ def validate_grammar(g: Grammar) -> None:
     if g.start not in g.productions:
         raise GrammarError("start rule missing")
     for rid, rhs in g.productions.items():
-        for item in rhs:
-            if isinstance(item, Ref):
-                if item.rule >= rid:
-                    raise GrammarError(f"rule {rid} references {item.rule} (not lower)")
-                if item.rule not in g.productions:
-                    raise GrammarError(f"rule {rid} references missing {item.rule}")
-            elif not isinstance(item, Term):
-                raise GrammarError(f"rule {rid}: bad item {item!r}")
+        for part in rhs:
+            if isinstance(part, Literal):
+                continue
+            if type(part) is not int:
+                raise GrammarError(f"rule {rid}: bad part {part!r}")
+            if part >= rid:
+                raise GrammarError(f"rule {rid} references {part} (not lower)")
+            if part not in g.productions:
+                raise GrammarError(f"rule {rid} references missing {part}")
 
 
 def expand_grammar(g: Grammar) -> tuple:
     """Expansion of the start rule; linear in the output plus shared parts."""
     validate_grammar(g)
-    memo: dict[int, tuple] = {}
-    for rid in sorted(g.productions):
-        out: list[int] = []
-        for item in g.productions[rid]:
-            if isinstance(item, Term):
-                out.append(item.symbol)
-            else:
-                out.extend(memo[item.rule])
-        memo[rid] = tuple(out)
-    return memo[g.start]
+    return _expand(sorted(g.productions.items()))[g.start]
 
 
 def parsing_to_grammar(parsing: Parsing) -> Grammar:
-    """One production per phrase plus a start rule listing all phrases."""
-    prods: dict[int, tuple] = {}
-    for i, (first, second) in enumerate(_phrase_parts(parsing), start=1):
-        rhs = (Term(first.symbol) if isinstance(first, Literal) else Ref(first),)
-        if second is not None:
-            rhs += (Term(second.symbol) if isinstance(second, Literal) else Ref(second),)
-        prods[i] = rhs
+    """One production per phrase, its parts, plus a start rule listing all
+    phrases."""
+    prods = dict(enumerate(_phrase_parts(parsing), start=1))
     z = len(prods)
-    prods[z + 1] = tuple(Ref(i) for i in range(1, z + 1))
+    prods[z + 1] = tuple(range(1, z + 1))
     return Grammar(prods, z + 1)

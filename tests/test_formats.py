@@ -45,6 +45,20 @@ def test_auto_detection(tmp_path):
     assert read_text_file(str(r)) == small
 
 
+def test_raw_file_reads_back_as_written(tmp_path):
+    # a raw text whose bytes start like a sym header would read back as sym
+    path = tmp_path / "t.raw"
+    for data in (b"#sigm", b"x#sigma 1\n", b" #sigma 1\n", bytes(range(256))):
+        text = make_text(data, 256)
+        write_text_file(str(path), text, format="raw")
+        assert read_text_file(str(path)) == text
+    path.unlink()
+    for data in (b"#sigma 1\n", b"#sigma"):
+        with pytest.raises(FormatError):
+            write_text_file(str(path), make_text(data, 256), format="raw")
+        assert not path.exists()
+
+
 @pytest.mark.parametrize("data", [
     b"",
     b"1 2 3",

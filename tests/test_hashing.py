@@ -48,3 +48,13 @@ def test_distinct_strings_usually_distinct_fps():
     strs = [(i, i + 1, i + 2) for i in range(200)]
     fps = {fp_of(cfg, s) for s in strs}
     assert len(fps) == len(strs)
+
+
+@pytest.mark.parametrize("delta", [0, 31, 62, -5])
+def test_base_outside_field_rejected(delta):
+    # the base must lie in [1, p-1]: 0 or a multiple of p hashes every
+    # string alike
+    with pytest.raises(ValueError):
+        HashConfig(p=31, delta=delta)
+    assert HashConfig(p=31, delta=1).delta == 1
+    assert HashConfig(p=31, delta=30).delta == 30

@@ -13,7 +13,6 @@ from lzgram import (
     Parsing,
     PhraseIndex,
     Scheme,
-    Term,
     check_lzd_distinct,
     check_lzmw_pair_distinct,
     expand_grammar,
@@ -250,12 +249,40 @@ def test_parsing_to_grammar_round_trip():
             assert g.size() <= 3 * len(p) + len(set(t.symbols))
 
 
+def test_parsing_to_grammar_shares_the_phrase_parts():
+    # a rule's parts are a Literal or a lower rule id, as in the parsing
+    L0, L1, L2 = Literal(0), Literal(1), Literal(2)
+    assert parsing_to_grammar(EX1_LZD).productions == {
+        1: (L0, L1), 2: (L1, L0), 3: (1, 1), 4: (L0, 1), 5: (L0, L2),
+        6: (1, 2, 3, 4, 5)}
+    g = parsing_to_grammar(EX1_LZMW)
+    assert g.start == 10
+    assert g.productions == {
+        1: (L0,), 2: (L1,), 3: (L1,), 4: (L0,), 5: (1, 2), 6: (1, 2),
+        7: (4, 5), 8: (L0,), 9: (L2,), 10: tuple(range(1, 10))}
+    one_part_end = Parsing(Scheme.LZD, (LzdPhrase(Literal(0), None),), 1)
+    assert parsing_to_grammar(one_part_end).productions == {1: (L0,), 2: (1,)}
+
+
+@pytest.mark.parametrize("part", [PhraseIndex(1), "1", 1.0, True, None,
+                                  (1,)])
+def test_grammar_rejects_foreign_parts(part):
+    from lzgram import Grammar
+
+    rules = dict(parsing_to_grammar(EX1_LZD).productions)
+    rules[4] = (Literal(0), part)
+    with pytest.raises(GrammarError):
+        validate_grammar(Grammar(rules, 6))
+    with pytest.raises(GrammarError):
+        expand_grammar(Grammar(rules, 6))
+
+
 def test_grammar_validation_errors():
-    from lzgram import Grammar, Ref
+    from lzgram import Grammar
 
     g = parsing_to_grammar(EX1_LZD)
     forward = dict(g.productions)
-    forward[1] = (Ref(5),)
+    forward[1] = (5,)
     with pytest.raises(GrammarError):
         validate_grammar(Grammar(forward, g.start))
     missing = dict(g.productions)
