@@ -195,7 +195,7 @@ class Probe:
     def __init__(self, g: AvlGrammar):
         self.g = g
         self.cfg = cfg = g.cfg
-        self._dinv = pow(cfg.delta, cfg.p - 2, cfg.p)
+        self._dinv = cfg.delta_inv
         # delta^i and delta^-i, grown to the longest tail seen
         self._dpow = [1]
         self._dinvpow = [1]

@@ -49,13 +49,16 @@ def load_text(data: bytes) -> Text:
         raise FormatError("missing '#sigma <N>' header")
     if len(tokens) < 2:
         raise FormatError("missing alphabet bound after #sigma")
+    body = tokens[2:]
     try:
         bound = int(tokens[1])
-        syms = tuple(map(int, tokens[2:]))
+        # each distinct token is converted once, in token order, so the first
+        # bad token is the one named, and equal symbols share one int
+        ints = {tok: int(tok) for tok in dict.fromkeys(body)}
     except ValueError as e:
         raise FormatError(f"bad integer token: {e}") from None
     try:
-        return Text(syms, bound)
+        return Text(tuple(map(ints.__getitem__, body)), bound)
     except ValueError as e:
         raise FormatError(str(e)) from None
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 MERSENNE61 = (1 << 61) - 1
 
@@ -46,6 +46,11 @@ class HashConfig:
             raise ValueError(f"modulus {self.p} is not a prime in [3, 2^64)")
         if not 1 <= self.delta < self.p:
             raise ValueError(f"base {self.delta} is outside [1, {self.p - 1}]")
+
+    @cached_property
+    def delta_inv(self) -> int:
+        """delta^-1 mod p, computed once per configuration."""
+        return pow(self.delta, self.p - 2, self.p)
 
     @staticmethod
     def from_seed(seed: int, p: int = MERSENNE61) -> "HashConfig":

@@ -14,8 +14,10 @@ A symbol counts as seen once it has been read; the symbol under the cursor is
 always a legal one-symbol match (its first occurrence starts a part).
 
 The reference parsers here are deliberately plain: a dictionary of expanded
-strings bucketed by length, scanned longest first.  They are the correctness
-oracle for the trie-based and streaming parsers.
+strings bucketed by length, where a lookup tries, longest first, the lengths
+of the strings that start with the symbol under the cursor and compares
+whole tuples.  They are the correctness oracle for the trie-based and
+streaming parsers.
 """
 
 from __future__ import annotations
@@ -113,24 +115,35 @@ class Parsing:
 
 
 class _Dictionary:
-    """Expanded dictionary strings bucketed by length, longest-first scan."""
+    """Expanded dictionary strings bucketed by length.
+
+    A string that prefixes s[pos:] starts with s[pos], so each first symbol
+    keeps the ascending lengths of the stored strings that start with it,
+    and a lookup scans only those, longest first.
+    """
 
     def __init__(self):
         self.by_len: dict[int, dict[tuple, object]] = {}
-        self.lengths: list[int] = []  # ascending
+        self.lengths_by_first: dict[int, list[int]] = {}  # each ascending
 
     def add(self, expansion: tuple, ref) -> None:
-        bucket = self.by_len.get(len(expansion))
+        length = len(expansion)
+        bucket = self.by_len.get(length)
         if bucket is None:
-            bucket = {}
-            self.by_len[len(expansion)] = bucket
-            insort(self.lengths, len(expansion))
-        bucket.setdefault(expansion, ref)  # first insertion wins (canonical ref)
+            bucket = self.by_len[length] = {}
+        elif expansion in bucket:
+            return  # first insertion wins (canonical ref)
+        bucket[expansion] = ref
+        lengths = self.lengths_by_first.get(expansion[0])
+        if lengths is None:
+            self.lengths_by_first[expansion[0]] = [length]
+        elif length not in lengths:
+            insort(lengths, length)
 
     def longest_match(self, s: tuple, pos: int):
         """Longest dictionary string that prefixes s[pos:], or None."""
         remaining = len(s) - pos
-        for length in reversed(self.lengths):
+        for length in reversed(self.lengths_by_first.get(s[pos], ())):
             if length > remaining:
                 continue
             ref = self.by_len[length].get(s[pos:pos + length])
@@ -177,7 +190,7 @@ def lzmw_parse_reference(text: Text) -> Parsing:
     s = text.symbols
     n = len(s)
     d = _Dictionary()
-    expansions: list[tuple] = []
+    prev: tuple = ()  # the previous phrase's expansion
     phrases: list[LzmwPhrase] = []
     seen: set[int] = set()
     pos = 0
@@ -193,10 +206,11 @@ def lzmw_parse_reference(text: Text) -> Parsing:
         seen.update(s[pos:pos + plen])
         pos += plen
         phrases.append(phrase)
-        expansions.append(s[pos - plen:pos])
+        cur = s[pos - plen:pos]
         if len(phrases) >= 2:
             # the pair (p_(i-1), p_i) becomes available to phrase i+1
-            d.add(expansions[-2] + expansions[-1], PairIndex(len(phrases) - 1))
+            d.add(prev + cur, PairIndex(len(phrases) - 1))
+        prev = cur
     return Parsing(Scheme.LZMW, tuple(phrases), n)
 
 

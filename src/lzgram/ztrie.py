@@ -232,7 +232,7 @@ class ZTrie:
 
     def __init__(self, g: AvlGrammar):
         self.g = g
-        self._probe = Probe(g)  # one per trie: it computes delta^-1 once
+        self._probe = Probe(g)  # one per trie, reused by every insert
         self.om = OrderList()
         self.ma = MarkedAncestorIndex()
         self.table: dict = {}

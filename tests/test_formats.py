@@ -73,6 +73,16 @@ def test_bad_text_files_rejected(data):
         load_text(data)
 
 
+def test_text_tokens():
+    # str.split also separates on \x1c-\x1f, which bytes.split would not
+    t = load_text(b"#sigma 400\n300\x1c300 7\x1f300")
+    assert t.symbols == (300, 300, 7, 300)
+    # each distinct token is converted once: equal symbols share one int
+    assert t.symbols[0] is t.symbols[1] is t.symbols[3]
+    with pytest.raises(FormatError, match="'z'"):  # the first bad token
+        load_text(b"#sigma 4\n1 z y z y")
+
+
 def test_parsing_round_trip():
     for parsing in (EX1_LZD, EX1_LZMW):
         data = dump_parsing(parsing)

@@ -27,7 +27,10 @@ from lzgram import (
     validate_grammar,
     verify_parsing,
 )
-from lzgram.adversarial import gen_lzd_slow
+from lzgram.adversarial import gen_lzd_slow, gen_lzmw_slow
+from lzgram.cli import main
+from lzgram.formats import write_parsing_file, write_text_file
+from lzgram.model import _Dictionary
 from lzgram.naive import parse_naive
 
 from support import EX1_LZD, EX1_LZMW, EX1_TEXT, random_text, register_parsing
@@ -76,6 +79,58 @@ def test_round_trip_random_texts():
             assert expand_parsing(p) == t.symbols
             assert verify_parsing(t, p, strict=True)
             assert len(p) <= len(t)
+
+
+def _brute_longest_match(stored: dict, s: tuple, pos: int):
+    best = None
+    for string, ref in stored.items():
+        if s[pos:pos + len(string)] == string and (
+                best is None or len(string) > best[1]):
+            best = ref, len(string)
+    return best
+
+
+@pytest.mark.parametrize("sigma", [1, 2, 4, 256])
+def test_longest_match_equals_brute_force(sigma):
+    rng = random.Random(7000 + sigma)
+    readded = 0
+    for _ in range(40):
+        s = random_text(rng, rng.randrange(1, 120), sigma).symbols
+        n = len(s)
+        d, stored = _Dictionary(), {}  # stored: the first ref of each string
+        for i in range(rng.randrange(1, 60)):
+            kind = rng.random()
+            if kind < 0.2 and stored:  # again, under a new ref
+                string = rng.choice(list(stored))
+                readded += 1
+            elif kind < 0.4:  # runs one symbol past the end of the text
+                string = s[rng.randrange(n):] + (rng.randrange(sigma),)
+            elif kind < 0.5:  # random, most likely nowhere in the text
+                string = tuple(rng.randrange(sigma)
+                               for _ in range(rng.randrange(1, 8)))
+            else:
+                a = rng.randrange(n)
+                string = s[a:rng.randrange(a + 1, n + 1)]
+            d.add(string, ("ref", i))
+            stored.setdefault(string, ("ref", i))
+        for pos in range(n):
+            assert d.longest_match(s, pos) == _brute_longest_match(stored, s, pos)
+    assert readded > 0
+
+
+def test_reference_and_strict_verify_at_k32(tmp_path):
+    # the slow families' k=32 members (n = 2.2M and 3.9M): the oracle must
+    # agree with naive there, and strict verification must be affordable
+    text = gen_lzmw_slow(32)
+    assert (parse_reference(text, Scheme.LZMW)
+            == parse_naive(text, Scheme.LZMW).parsing)
+    # an LZD parsing passes strict verification iff it equals the reference
+    text = gen_lzd_slow(32)
+    text_path, parsing_path = str(tmp_path / "t.sym"), str(tmp_path / "t.lzd")
+    write_text_file(text_path, text)
+    write_parsing_file(parsing_path, parse_naive(text, Scheme.LZD).parsing)
+    assert main(["verify", "--scheme", "lzd", "--in", text_path,
+                 "--parsing", parsing_path, "--strict"]) == 0
 
 
 def test_verify_rejects_wrong_text():
