@@ -2,7 +2,8 @@
 
 import pytest
 
-from lzgram import Literal, LzdPhrase, PairIndex, Parsing, Scheme, make_text
+from lzgram import (Literal, LzdPhrase, PairIndex, Parsing, Scheme, make_text,
+                    parse_reference)
 from lzgram.formats import (
     FormatError,
     dump_parsing,
@@ -89,6 +90,18 @@ def test_parsing_round_trip():
         assert load_parsing(data) == parsing
     data = dump_parsing(EX1_LZD)
     assert data.splitlines()[0] == b"LZD 5 13"
+
+
+def test_parsing_file_bytes_pinned():
+    # the file format, byte for byte, whatever the in-memory phrase shape
+    aaaa = parse_reference(make_text([0, 0, 0, 0], 1), Scheme.LZD)
+    assert dump_parsing(EX1_LZD) == (
+        b"LZD 5 13\nL:0 L:1\nL:1 L:0\nP:1 P:1\nL:0 P:1\nL:0 L:2\n")
+    assert dump_parsing(EX1_LZMW) == (
+        b"LZMW 9 13\nL:0\nL:1\nL:1\nL:0\nP:1\nP:1\nP:4\nL:0\nL:2\n")
+    assert dump_parsing(aaaa) == b"LZD 2 4\nL:0 L:0\nP:1\n"  # one-part end
+    for parsing in (EX1_LZD, EX1_LZMW, aaaa):
+        assert load_parsing(dump_parsing(parsing)) == parsing
 
 
 def test_one_part_final_phrase_round_trip():
