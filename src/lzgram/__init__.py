@@ -5,9 +5,6 @@ from .model import (
     Text,
     make_text,
     Literal,
-    PhraseIndex,
-    PairIndex,
-    LzdPhrase,
     Parsing,
     Grammar,
     GrammarError,

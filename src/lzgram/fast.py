@@ -89,7 +89,9 @@ class _Engine:
         self.carry = Probe(self.g)
         self.searches = 0
         self.parts = 0
-        self._trees: dict = {}  # payload -> the tree spelling it
+        # payload -> the tree spelling it: a Literal, or the int that
+        # add() entered a phrase (LZD) or a pair (LZMW) under
+        self._trees: dict = {}
         # (tree, (node, lcp) of its search) of the last two parts, the ones
         # the phrase a later add() enters is made of
         self._last = (None, None)
@@ -97,9 +99,10 @@ class _Engine:
     def next_part(self, pos: int):
         """Cut the next greedy part; None once the input is exhausted.
 
-        Returns (part, length): part is Literal(sym) or the marked node's
-        dictionary reference.  pos, where the part starts, is not needed:
-        the engine names no string by its position.
+        Returns (part, length): part is Literal(sym) for a fresh symbol,
+        else the marked node's payload, the int of the phrase (LZD) or of
+        the pair p_j p_(j+1) (LZMW) it spells.  pos, where the part starts,
+        is not needed: the engine names no string by its position.
         """
         carry = self.carry
         reader = self.reader
@@ -144,8 +147,8 @@ class _Engine:
     def add(self, start: int, end: int, ref) -> None:
         """Enter the phrase content[start:end), the last two parts, at the
         locus the first part's search found; the string searched starts with
-        the phrase.  Its tree is one node over the parts' trees, the rule
-        X -> YZ.  Unless their heights differ by at most 1 that root is
+        the phrase, under ref, its int.  Its tree is one node over the
+        parts' trees, the rule X -> YZ.  Unless their heights differ by at most 1 that root is
         "lazy", not AVL: next_part balances it when the phrase is first cited
         as a part, and most phrases never are."""
         (a, locus), (b, _) = self._last

@@ -5,22 +5,16 @@ symbol values separated by single spaces or newlines.  Texts over an alphabet
 bound <= 256 may instead be stored raw, one byte per symbol.
 
 Parsing files: a header `LZD <z> <n>` or `LZMW <z> <n>`, then one phrase per
-line.  Tokens are `L:<symbol>` for a literal and `P:<index>` (1-based) for a
-dictionary reference.  LZD lines carry two tokens (one on a final one-part
-phrase); LZMW lines carry one.
+line, one token per part of the in-memory phrase.  Tokens are `L:<symbol>`
+for a `Literal` and `P:<index>` for an int, the 1-based index of an earlier
+phrase (LZD) or of a pair p_j p_(j+1) (LZMW).  An LZD line is the phrase's
+part tuple, two tokens or one on a final one-part phrase; an LZMW line is
+its one part.
 """
 
 from __future__ import annotations
 
-from .model import (
-    Literal,
-    LzdPhrase,
-    PairIndex,
-    Parsing,
-    PhraseIndex,
-    Scheme,
-    Text,
-)
+from .model import Literal, Parsing, Scheme, Text
 
 
 class FormatError(ValueError):
@@ -103,8 +97,8 @@ def write_text_file(path: str, text: Text, format: str = "sym") -> None:
 def _part_token(part) -> str:
     if isinstance(part, Literal):
         return f"L:{part.symbol}"
-    if isinstance(part, (PhraseIndex, PairIndex)):
-        return f"P:{part.index}"
+    if type(part) is int:
+        return f"P:{part}"
     raise TypeError(f"bad part {part!r}")
 
 
@@ -112,31 +106,25 @@ def dump_parsing(parsing: Parsing) -> bytes:
     lines = [f"{parsing.scheme.label} {len(parsing.phrases)} {parsing.source_length}"]
     if parsing.scheme is Scheme.LZD:
         for ph in parsing.phrases:
-            toks = [_part_token(ph.first)]
-            if ph.second is not None:
-                toks.append(_part_token(ph.second))
-            lines.append(" ".join(toks))
+            if type(ph) is not tuple or len(ph) not in (1, 2):
+                raise TypeError(f"bad LZD phrase {ph!r}")
+            lines.append(" ".join(map(_part_token, ph)))
     else:
-        for ph in parsing.phrases:
-            lines.append(_part_token(ph))
+        lines.extend(map(_part_token, parsing.phrases))
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def _parse_token(tok: str, scheme: Scheme):
-    if tok.startswith("L:"):
-        body, make = tok[2:], Literal
-    elif tok.startswith("P:"):
-        body = tok[2:]
-        make = PhraseIndex if scheme is Scheme.LZD else PairIndex
-    else:
-        raise FormatError(f"bad token {tok!r}")
+def _parse_token(tok: str):
+    """A Literal for `L:<symbol>`, the int for `P:<index>` (1-based)."""
     try:
-        value = int(body)
+        value = int(tok[2:])
     except ValueError:
         raise FormatError(f"bad token {tok!r}") from None
-    if value < 0 or (tok.startswith("P:") and value < 1):
-        raise FormatError(f"bad token {tok!r}")
-    return make(value)
+    if tok.startswith("L:") and value >= 0:
+        return Literal(value)
+    if tok.startswith("P:") and value >= 1:
+        return value
+    raise FormatError(f"bad token {tok!r}")
 
 
 def load_parsing(data: bytes) -> Parsing:
@@ -164,15 +152,13 @@ def load_parsing(data: bytes) -> Parsing:
             toks = ln.split()
             if len(toks) not in (1, 2):
                 raise FormatError(f"LZD phrase line needs 1 or 2 tokens: {ln!r}")
-            first = _parse_token(toks[0], scheme)
-            second = _parse_token(toks[1], scheme) if len(toks) == 2 else None
-            phrases.append(LzdPhrase(first, second))
+            phrases.append(tuple(map(_parse_token, toks)))
     else:
         for ln in body:
             toks = ln.split()
             if len(toks) != 1:
                 raise FormatError(f"LZMW phrase line needs 1 token: {ln!r}")
-            phrases.append(_parse_token(toks[0], scheme))
+            phrases.append(_parse_token(toks[0]))
     return Parsing(scheme, tuple(phrases), n)
 
 

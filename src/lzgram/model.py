@@ -76,32 +76,13 @@ class Literal:
     symbol: int
 
 
-@dataclass(frozen=True, slots=True)
-class PhraseIndex:
-    """LZD part: the index (1-based) of an earlier phrase."""
-
-    index: int
-
-
-@dataclass(frozen=True, slots=True)
-class PairIndex:
-    """LZMW phrase: the dictionary string p_j p_(j+1), j 1-based."""
-
-    index: int
-
-
-LzdPart = Literal | PhraseIndex
-LzmwPhrase = Literal | PairIndex
-
-
-@dataclass(frozen=True, slots=True)
-class LzdPhrase:
-    first: LzdPart
-    second: LzdPart | None  # None only on a final one-part phrase
-
-
 @dataclass(frozen=True)
 class Parsing:
+    """A parsing is its rule list.  An LZD phrase is the tuple of its parts,
+    (a, b), or (a,) for a final one-part phrase, each part a Literal or the
+    1-based int of an earlier phrase.  An LZMW phrase is a Literal or the
+    1-based int j of the dictionary string p_j p_(j+1)."""
+
     scheme: Scheme
     phrases: tuple
     source_length: int
@@ -156,11 +137,11 @@ def lzd_parse_reference(text: Text) -> Parsing:
     s = text.symbols
     n = len(s)
     d = _Dictionary()
-    phrases: list[LzdPhrase] = []
+    phrases: list[tuple] = []
     seen: set[int] = set()
     pos = 0
 
-    def next_part() -> tuple[LzdPart, int]:
+    def next_part() -> tuple[Literal | int, int]:
         m = d.longest_match(s, pos)
         if m is not None:
             return m
@@ -173,16 +154,16 @@ def lzd_parse_reference(text: Text) -> Parsing:
             d.add((first.symbol,), Literal(first.symbol))
         seen.update(s[pos:pos + flen])
         pos += flen
-        second = None
-        slen = 0
-        if pos < n:
-            second, slen = next_part()
-            if isinstance(second, Literal) and second.symbol not in seen:
-                d.add((second.symbol,), Literal(second.symbol))
-            seen.update(s[pos:pos + slen])
-            pos += slen
-        phrases.append(LzdPhrase(first, second))
-        d.add(s[pos - flen - slen:pos], PhraseIndex(len(phrases)))
+        if pos == n:
+            phrases.append((first,))
+            break
+        second, slen = next_part()
+        if isinstance(second, Literal) and second.symbol not in seen:
+            d.add((second.symbol,), Literal(second.symbol))
+        seen.update(s[pos:pos + slen])
+        pos += slen
+        phrases.append((first, second))
+        d.add(s[pos - flen - slen:pos], len(phrases))
     return Parsing(Scheme.LZD, tuple(phrases), n)
 
 
@@ -191,13 +172,13 @@ def lzmw_parse_reference(text: Text) -> Parsing:
     n = len(s)
     d = _Dictionary()
     prev: tuple = ()  # the previous phrase's expansion
-    phrases: list[LzmwPhrase] = []
+    phrases: list[Literal | int] = []
     seen: set[int] = set()
     pos = 0
     while pos < n:
         m = d.longest_match(s, pos)
         if m is None:
-            phrase: LzmwPhrase = Literal(s[pos])
+            phrase: Literal | int = Literal(s[pos])
             plen = 1
         else:
             phrase, plen = m
@@ -209,7 +190,7 @@ def lzmw_parse_reference(text: Text) -> Parsing:
         cur = s[pos - plen:pos]
         if len(phrases) >= 2:
             # the pair (p_(i-1), p_i) becomes available to phrase i+1
-            d.add(prev + cur, PairIndex(len(phrases) - 1))
+            d.add(prev + cur, len(phrases) - 1)
         prev = cur
     return Parsing(Scheme.LZMW, tuple(phrases), n)
 
@@ -227,11 +208,14 @@ def parse_reference(text: Text, scheme: Scheme) -> Parsing:
 def greedy_parse(scheme: Scheme, next_part, add) -> Parsing:
     """Parse with the scheme's phrase rule over any dictionary structure.
 
-    next_part(pos) cuts the longest dictionary part starting at pos (a fresh
-    symbol is a one-symbol Literal) and returns (part, length), or None at
-    the end of the input.  add(start, end, ref) enters the parsed
-    [start, end) into the dictionary under ref.  The reference parsers above
-    do not use this loop, so they stay an independent oracle.
+    next_part(pos) cuts the longest dictionary part starting at pos and
+    returns (part, length), or None at the end of the input; the part is a
+    Literal for a fresh symbol, else the ref it was entered under.
+    add(start, end, ref) enters the parsed [start, end) into the dictionary
+    under ref: the int of the LZD phrase, or of the LZMW pair p_ref
+    p_(ref+1).  The phrases are emitted in `Parsing`'s shapes: an LZD
+    phrase is its part tuple, an LZMW phrase is its part.  The reference
+    parsers above do not use this loop, so they stay an independent oracle.
     """
     phrases: list = []
     pos = 0
@@ -242,12 +226,12 @@ def greedy_parse(scheme: Scheme, next_part, add) -> Parsing:
             pos += flen
             got = next_part(pos)
             if got is None:
-                phrases.append(LzdPhrase(first, None))
+                phrases.append((first,))
                 break
             second, slen = got
             pos += slen
-            phrases.append(LzdPhrase(first, second))
-            add(start, pos, PhraseIndex(len(phrases)))
+            phrases.append((first, second))
+            add(start, pos, len(phrases))
     else:
         prev = 0  # start of the previous phrase
         while (got := next_part(pos)) is not None:
@@ -255,7 +239,7 @@ def greedy_parse(scheme: Scheme, next_part, add) -> Parsing:
             phrases.append(phrase)
             if len(phrases) >= 2:
                 # the pair (p_(i-1), p_i) becomes available to phrase i+1
-                add(prev, pos + plen, PairIndex(len(phrases) - 1))
+                add(prev, pos + plen, len(phrases) - 1)
             prev = pos
             pos += plen
     return Parsing(scheme, tuple(phrases), pos)
@@ -266,42 +250,31 @@ def greedy_parse(scheme: Scheme, next_part, add) -> Parsing:
 
 
 def _phrase_parts(parsing: Parsing):
-    """The parts of every phrase, in order, as a 1- or 2-tuple.
-
-    A part is a Literal or the 1-based number of an earlier phrase, the rule
-    format of `Grammar`.  An LZMW pair reference p_j p_(j+1) is the parts
-    (j, j + 1).  Raises GrammarError on bad refs.
-    """
+    """The parts of every phrase, in order, as a 1- or 2-tuple: the rule
+    format of `Grammar`.  An LZD phrase already is its parts; an LZMW pair
+    reference j is the parts (j, j + 1).  Raises GrammarError on a phrase of
+    the wrong shape, a part that is neither a Literal nor an int (a bool is
+    not one), or a reference out of range."""
     phrases = parsing.phrases
     if parsing.scheme is Scheme.LZD:
-        def part(i: int, ref) -> Literal | int:
-            if isinstance(ref, Literal):
-                return ref
-            if not isinstance(ref, PhraseIndex):
-                raise GrammarError(f"phrase {i}: bad part {ref!r}")
-            if not (1 <= ref.index < i):
-                raise GrammarError(f"phrase {i}: bad phrase reference {ref.index}")
-            return ref.index
-
+        last = len(phrases)
         for i, ph in enumerate(phrases, start=1):
-            if not isinstance(ph, LzdPhrase):
-                raise GrammarError(f"phrase {i}: not an LZD phrase")
-            if ph.second is not None:
-                yield part(i, ph.first), part(i, ph.second)
-            elif i == len(phrases):
-                yield (part(i, ph.first),)
-            else:
-                raise GrammarError(f"phrase {i}: one-part phrase before the end")
+            if type(ph) is not tuple or not (
+                    len(ph) == 2 or len(ph) == 1 and i == last):
+                raise GrammarError(f"phrase {i}: bad LZD phrase {ph!r}")
+            for part in ph:
+                if not (isinstance(part, Literal)
+                        or type(part) is int and 1 <= part < i):
+                    raise GrammarError(f"phrase {i}: bad part {part!r}")
+            yield ph
     elif parsing.scheme is Scheme.LZMW:
         for i, ph in enumerate(phrases, start=1):
             if isinstance(ph, Literal):
                 yield (ph,)
-            elif not isinstance(ph, PairIndex):
-                raise GrammarError(f"phrase {i}: bad phrase {ph!r}")
-            elif not (1 <= ph.index <= i - 2):
-                raise GrammarError(f"phrase {i}: bad pair reference {ph.index}")
+            elif type(ph) is int and 1 <= ph <= i - 2:
+                yield ph, ph + 1
             else:
-                yield ph.index, ph.index + 1
+                raise GrammarError(f"phrase {i}: bad phrase {ph!r}")
     else:
         raise GrammarError("unknown scheme")
 
@@ -407,7 +380,7 @@ def check_lzd_distinct(parsing: Parsing) -> bool:
     if parsing.scheme is not Scheme.LZD:
         raise ValueError("expects an LZD parsing")
     exps = phrase_expansions(parsing)
-    if parsing.phrases and parsing.phrases[-1].second is None:
+    if parsing.phrases and len(parsing.phrases[-1]) == 1:
         exps = exps[:-1]
     return len(set(exps)) == len(exps)
 

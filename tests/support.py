@@ -12,10 +12,7 @@ from lzgram import (
     BlockReader,
     HashConfig,
     Literal,
-    LzdPhrase,
-    PairIndex,
     Parsing,
-    PhraseIndex,
     Scheme,
     Text,
     check_lzd_distinct,
@@ -31,11 +28,11 @@ EX1_SYMBOLS = (0, 1, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 2)
 EX1_TEXT = make_text(EX1_SYMBOLS, 3)
 
 EX1_LZD = Parsing(Scheme.LZD, (
-    LzdPhrase(Literal(0), Literal(1)),
-    LzdPhrase(Literal(1), Literal(0)),
-    LzdPhrase(PhraseIndex(1), PhraseIndex(1)),
-    LzdPhrase(Literal(0), PhraseIndex(1)),
-    LzdPhrase(Literal(0), Literal(2)),
+    (Literal(0), Literal(1)),
+    (Literal(1), Literal(0)),
+    (1, 1),
+    (Literal(0), 1),
+    (Literal(0), Literal(2)),
 ), 13)
 
 EX1_LZMW = Parsing(Scheme.LZMW, (
@@ -43,9 +40,9 @@ EX1_LZMW = Parsing(Scheme.LZMW, (
     Literal(1),
     Literal(1),
     Literal(0),
-    PairIndex(1),
-    PairIndex(1),
-    PairIndex(4),
+    1,
+    1,
+    4,
     Literal(0),
     Literal(2),
 ), 13)

@@ -7,8 +7,8 @@ import lzgram
 
 PUBLIC = [
     "AvlGrammar", "BlockReader", "CSV_HEADER", "Grammar", "GrammarError",
-    "HashConfig", "Literal", "LzdPhrase", "MERSENNE61", "PairIndex", "Parsing",
-    "PhraseIndex", "Scheme", "Text", "check_lzd_distinct",
+    "HashConfig", "Literal", "MERSENNE61", "Parsing", "Scheme", "Text",
+    "check_lzd_distinct",
     "check_lzmw_pair_distinct", "expand_grammar", "expand_parsing",
     "fit_exponent", "lzd_parse_reference", "lzmw_parse_reference", "make_text",
     "parse_fast", "parse_las_vegas_detailed", "parse_naive",

@@ -5,8 +5,7 @@ import random
 
 import pytest
 
-from lzgram import (MERSENNE61, AvlGrammar, HashConfig, PairIndex, PhraseIndex,
-                    Scheme)
+from lzgram import MERSENNE61, AvlGrammar, HashConfig, Literal, Scheme
 from lzgram.adversarial import FAMILIES
 from lzgram.avlgrammar import Probe
 
@@ -151,12 +150,13 @@ def test_cited_phrases_are_balanced_and_repointed():
     # lazy roots left in the trie are trees of phrases never cited
     lazy_runs = 0
     for cfg, eng, parsing in engine_runs():
+        # an int part cites a phrase under LZD and a pair under LZMW, the
+        # engine's own payload either way
         if parsing.scheme is Scheme.LZD:
-            parts = [part for ph in parsing.phrases
-                     for part in (ph.first, ph.second)]
+            parts = [part for ph in parsing.phrases for part in ph]
         else:
             parts = parsing.phrases
-        cited = {part for part in parts if isinstance(part, (PhraseIndex, PairIndex))}
+        cited = {part for part in parts if not isinstance(part, Literal)}
         seen = set()
         for ref in cited:
             assert_avl(cfg, eng._trees[ref], seen)

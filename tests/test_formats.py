@@ -2,8 +2,7 @@
 
 import pytest
 
-from lzgram import (Literal, LzdPhrase, PairIndex, Parsing, Scheme, make_text,
-                    parse_reference)
+from lzgram import Literal, Parsing, Scheme, make_text, parse_reference
 from lzgram.formats import (
     FormatError,
     dump_parsing,
@@ -105,8 +104,7 @@ def test_parsing_file_bytes_pinned():
 
 
 def test_one_part_final_phrase_round_trip():
-    p = Parsing(Scheme.LZD, (LzdPhrase(Literal(0), Literal(0)),
-                             LzdPhrase(Literal(1), None)), 3)
+    p = Parsing(Scheme.LZD, ((Literal(0), Literal(0)), (Literal(1),)), 3)
     assert load_parsing(dump_parsing(p)) == p
 
 

@@ -8,10 +8,7 @@ import pytest
 from lzgram import (
     GrammarError,
     Literal,
-    LzdPhrase,
-    PairIndex,
     Parsing,
-    PhraseIndex,
     Scheme,
     check_lzd_distinct,
     check_lzmw_pair_distinct,
@@ -29,7 +26,7 @@ from lzgram import (
 )
 from lzgram.adversarial import gen_lzd_slow, gen_lzmw_slow
 from lzgram.cli import main
-from lzgram.formats import write_parsing_file, write_text_file
+from lzgram.formats import dump_parsing, write_parsing_file, write_text_file
 from lzgram.model import _Dictionary
 from lzgram.naive import parse_naive
 
@@ -53,11 +50,11 @@ def test_worked_example_lzmw():
 def test_single_symbol_and_pair():
     ab = make_text([0, 1], 2)
     p = lzd_parse_reference(ab)
-    assert p.phrases == (LzdPhrase(Literal(0), Literal(1)),)
+    assert p.phrases == ((Literal(0), Literal(1)),)
     q = lzmw_parse_reference(ab)
     assert q.phrases == (Literal(0), Literal(1))
     one = make_text([5], 6)
-    assert lzd_parse_reference(one).phrases == (LzdPhrase(Literal(5), None),)
+    assert lzd_parse_reference(one).phrases == ((Literal(5),),)
     assert lzmw_parse_reference(one).phrases == (Literal(5),)
 
 
@@ -145,11 +142,10 @@ def test_strict_verify_rejects_non_greedy():
     # same text with (a,a)(a,a) leaves a longer dictionary match unused.
     t = make_text([0, 0, 0, 0], 1)
     greedy = lzd_parse_reference(t)
-    assert greedy.phrases == (LzdPhrase(Literal(0), Literal(0)),
-                              LzdPhrase(PhraseIndex(1), None))
+    assert greedy.phrases == ((Literal(0), Literal(0)), (1,))
     assert verify_parsing(t, greedy, strict=True)
-    lazy = Parsing(Scheme.LZD, (LzdPhrase(Literal(0), Literal(0)),
-                                LzdPhrase(Literal(0), Literal(0))), 4)
+    lazy = Parsing(Scheme.LZD, ((Literal(0), Literal(0)),
+                                (Literal(0), Literal(0))), 4)
     assert verify_parsing(t, lazy, strict=False)
     assert not verify_parsing(t, lazy, strict=True)
 
@@ -168,27 +164,26 @@ def test_strict_verify_accepts_either_equal_lzmw_pair():
     # phrase 6, and pair 3 (p3 p4 = 00 0) spells the same string.
     t = make_text([0, 0, 0, 0, 0, 1, 0, 0, 0], 2)
     ref = lzmw_parse_reference(t)
-    assert ref.phrases[5] == PairIndex(2)
-    alt = Parsing(Scheme.LZMW, ref.phrases[:5] + (PairIndex(3),), 9)
+    assert ref.phrases[5] == 2
+    alt = Parsing(Scheme.LZMW, ref.phrases[:5] + (3,), 9)
     assert alt != ref
     assert verify_parsing(t, alt, strict=True)
 
 
 def test_verify_rejects_malformed_instead_of_raising():
     # Forward reference and out-of-range index must not escape as exceptions.
-    bad_forward = Parsing(Scheme.LZD,
-                          (LzdPhrase(PhraseIndex(1), Literal(0)),), 3)
+    bad_forward = Parsing(Scheme.LZD, ((1, Literal(0)),), 3)
     assert not verify_parsing(make_text([0, 0, 0], 1), bad_forward)
-    bad_pair = Parsing(Scheme.LZMW, (Literal(0), Literal(1), PairIndex(2)), 4)
+    bad_pair = Parsing(Scheme.LZMW, (Literal(0), Literal(1), 2), 4)
     assert not verify_parsing(make_text([0, 1, 1, 0], 2), bad_pair)
 
 
 def test_phrase_lengths_guard_exponential_blowup():
     # Self-doubling chain: expansions grow as 2^i, lengths must not expand
     # anything to report that.
-    phrases = [LzdPhrase(Literal(0), Literal(0))]
+    phrases = [(Literal(0), Literal(0))]
     for i in range(1, 60):
-        phrases.append(LzdPhrase(PhraseIndex(i), PhraseIndex(i)))
+        phrases.append((i, i))
     p = Parsing(Scheme.LZD, tuple(phrases), 42)
     lens = phrase_lengths(p)
     assert lens[0] == 2 and lens[-1] == 2 ** 60
@@ -227,15 +222,15 @@ def _corrupt(rng, parsing, sigma):
             phrases[i], phrases[i + 1] = phrases[i + 1], phrases[i]
         elif parsing.scheme is Scheme.LZD:
             ref = rng.choice([Literal(rng.randrange(sigma + 1)),
-                              PhraseIndex(rng.randrange(i + 2))])
+                              rng.randrange(i + 2)])
             ph = phrases[i]
             if rng.random() < 0.5:
-                phrases[i] = LzdPhrase(ref, ph.second)
-            else:
-                phrases[i] = LzdPhrase(ph.first, rng.choice([ref, None]))
+                phrases[i] = (ref, *ph[1:])
+            else:  # or make it a one-part phrase
+                phrases[i] = ph[:1] + rng.choice([(ref,), ()])
         else:
             phrases[i] = rng.choice([Literal(rng.randrange(sigma + 1)),
-                                     PairIndex(rng.randrange(i + 1))])
+                                     rng.randrange(i + 1)])
     return Parsing(parsing.scheme, tuple(phrases), parsing.source_length)
 
 
@@ -260,22 +255,55 @@ def test_verify_agrees_with_expansion_on_corrupted_parsings():
 
 def test_phrase_ops_raise_on_malformed():
     with pytest.raises(GrammarError):
-        phrase_expansions(Parsing(Scheme.LZD,
-                                  (LzdPhrase(PhraseIndex(3), None),), 1))
+        phrase_expansions(Parsing(Scheme.LZD, ((3,),), 1))
     with pytest.raises(GrammarError):
-        phrase_lengths(Parsing(Scheme.LZMW, (Literal(0), PairIndex(1)), 2))
+        phrase_lengths(Parsing(Scheme.LZMW, (Literal(0), 1), 2))
     # One-part LZD phrase anywhere but the end is malformed.
     with pytest.raises(GrammarError):
         phrase_expansions(Parsing(Scheme.LZD,
-                                  (LzdPhrase(Literal(0), None),
-                                   LzdPhrase(Literal(1), Literal(1))), 3))
+                                  ((Literal(0),), (Literal(1), Literal(1))), 3))
+
+
+def _with_phrase(parsing, i, phrase):
+    phrases = list(parsing.phrases)
+    phrases[i] = phrase
+    return Parsing(parsing.scheme, tuple(phrases), parsing.source_length)
+
+
+# True == 1 == 1.0 and they hash alike, so `(Literal(0), True)` would pass
+# strict LZD equality with the reference's `(Literal(0), 1)`; a part or an
+# LZMW phrase is a Literal or exactly an int.  EX1's fourth LZD phrase is
+# (L0, 1) and its fifth LZMW phrase is the pair 1.
+_NOT_INTS = [True, 1.0, "1", None]
+
+
+@pytest.mark.parametrize("parsing", [
+    *(pytest.param(_with_phrase(EX1_LZD, 3, (Literal(0), bad)),
+                   id=f"lzd-part-{bad!r}") for bad in _NOT_INTS),
+    *(pytest.param(_with_phrase(EX1_LZMW, 4, bad),
+                   id=f"lzmw-phrase-{bad!r}") for bad in _NOT_INTS),
+    pytest.param(_with_phrase(EX1_LZD, 3, ()), id="lzd-empty"),
+    pytest.param(_with_phrase(EX1_LZD, 3, (Literal(0), Literal(0), Literal(1))),
+                 id="lzd-three-parts"),
+    pytest.param(_with_phrase(EX1_LZD, 3, [Literal(0), 1]), id="lzd-list"),
+    pytest.param(_with_phrase(EX1_LZD, 3, 1), id="lzd-bare-int"),
+])
+def test_malformed_phrase_shapes_rejected(parsing):
+    for strict in (False, True):
+        assert not verify_parsing(EX1_TEXT, parsing, strict=strict)
+    with pytest.raises(GrammarError):
+        phrase_expansions(parsing)
+    with pytest.raises(GrammarError):
+        parsing_to_grammar(parsing)
+    with pytest.raises(TypeError):
+        dump_parsing(parsing)
 
 
 def test_distinctness_checks():
     assert check_lzd_distinct(EX1_LZD)
     assert check_lzmw_pair_distinct(EX1_LZMW)
-    dup = Parsing(Scheme.LZD, (LzdPhrase(Literal(0), Literal(0)),
-                               LzdPhrase(Literal(0), Literal(0))), 4)
+    dup = Parsing(Scheme.LZD, ((Literal(0), Literal(0)),
+                               (Literal(0), Literal(0))), 4)
     assert not check_lzd_distinct(dup)
     # Pair strings (0,1) at non-adjacent indices violate the pair rule.
     bad = Parsing(Scheme.LZMW,
@@ -315,12 +343,11 @@ def test_parsing_to_grammar_shares_the_phrase_parts():
     assert g.productions == {
         1: (L0,), 2: (L1,), 3: (L1,), 4: (L0,), 5: (1, 2), 6: (1, 2),
         7: (4, 5), 8: (L0,), 9: (L2,), 10: tuple(range(1, 10))}
-    one_part_end = Parsing(Scheme.LZD, (LzdPhrase(Literal(0), None),), 1)
+    one_part_end = Parsing(Scheme.LZD, ((Literal(0),),), 1)
     assert parsing_to_grammar(one_part_end).productions == {1: (L0,), 2: (1,)}
 
 
-@pytest.mark.parametrize("part", [PhraseIndex(1), "1", 1.0, True, None,
-                                  (1,)])
+@pytest.mark.parametrize("part", [[1], "1", 1.0, True, None, (1,)])
 def test_grammar_rejects_foreign_parts(part):
     from lzgram import Grammar
 

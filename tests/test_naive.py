@@ -5,7 +5,6 @@ import random
 
 from lzgram import (
     Literal,
-    LzdPhrase,
     Scheme,
     parse_naive,
     parse_reference,
@@ -120,7 +119,7 @@ def test_worked_example_both_schemes():
 def test_two_symbols():
     ab = make_text([0, 1], 2)
     res = parse_naive(ab, Scheme.LZD)
-    assert res.parsing.phrases == (LzdPhrase(Literal(0), Literal(1)),)
+    assert res.parsing.phrases == ((Literal(0), Literal(1)),)
     assert res.stats.symbol_comparisons >= 2
     res = parse_naive(ab, Scheme.LZMW)
     assert res.parsing.phrases == (Literal(0), Literal(1))
