@@ -28,6 +28,18 @@ def test_sym_round_trip():
     assert load_text(data) == big
 
 
+def test_text_file_bytes_pinned():
+    # the sym format, byte for byte: 64 symbols a line, one space apart
+    syms = [0, 7, 255, 7] * 17 + [300, 0]
+    assert dump_text(make_text(syms, 301)) == (
+        b"#sigma 301\n" + b"0 7 255 7 " * 15 + b"0 7 255 7\n"
+        + b"0 7 255 7 300 0\n")
+    assert dump_text(make_text(syms[:64], 301)) == (
+        b"#sigma 301\n" + b"0 7 255 7 " * 15 + b"0 7 255 7\n")
+    assert dump_text(make_text([], 1)) == b"#sigma 1\n"
+    assert dump_text(make_text([5], 6)) == b"#sigma 6\n5\n"
+
+
 def test_raw_round_trip():
     t = make_text([0, 255, 7], 256)
     assert load_text_raw(dump_text_raw(t)) == t
