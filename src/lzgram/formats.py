@@ -26,10 +26,11 @@ class FormatError(ValueError):
 
 
 def dump_text(text: Text) -> bytes:
-    lines = [f"#sigma {text.alphabet_bound}"]
     syms = text.symbols
-    for i in range(0, len(syms), 64):
-        lines.append(" ".join(str(v) for v in syms[i:i + 64]))
+    # each distinct symbol is converted once
+    tokens = list(map({v: str(v) for v in set(syms)}.__getitem__, syms))
+    lines = [f"#sigma {text.alphabet_bound}"]
+    lines += [" ".join(tokens[i:i + 64]) for i in range(0, len(tokens), 64)]
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -95,7 +96,7 @@ def write_text_file(path: str, text: Text, format: str = "sym") -> None:
 
 
 def _part_token(part) -> str:
-    if isinstance(part, Literal):
+    if isinstance(part, Literal) and type(part.symbol) is int:
         return f"L:{part.symbol}"
     if type(part) is int:
         return f"P:{part}"
@@ -115,15 +116,15 @@ def dump_parsing(parsing: Parsing) -> bytes:
 
 
 def _parse_token(tok: str):
-    """A Literal for `L:<symbol>`, the int for `P:<index>` (1-based)."""
-    try:
-        value = int(tok[2:])
-    except ValueError:
-        raise FormatError(f"bad token {tok!r}") from None
-    if tok.startswith("L:") and value >= 0:
-        return Literal(value)
-    if tok.startswith("P:") and value >= 1:
-        return value
+    """A Literal for `L:<symbol>`, the int for `P:<index>` (1-based).  The
+    number must be written as `_part_token` writes it: decimal digits only
+    (the file is ASCII), no sign, no `_` and no leading zero."""
+    kind, digits = tok[:2], tok[2:]
+    if digits.isdigit() and (digits[0] != "0" or digits == "0"):
+        if kind == "L:":
+            return Literal(int(digits))
+        if kind == "P:" and digits != "0":
+            return int(digits)
     raise FormatError(f"bad token {tok!r}")
 
 

@@ -254,7 +254,8 @@ def _phrase_parts(parsing: Parsing):
     format of `Grammar`.  An LZD phrase already is its parts; an LZMW pair
     reference j is the parts (j, j + 1).  Raises GrammarError on a phrase of
     the wrong shape, a part that is neither a Literal nor an int (a bool is
-    not one), or a reference out of range."""
+    not one), a Literal whose symbol is not an int, or a reference out of
+    range."""
     phrases = parsing.phrases
     if parsing.scheme is Scheme.LZD:
         last = len(phrases)
@@ -263,13 +264,13 @@ def _phrase_parts(parsing: Parsing):
                     len(ph) == 2 or len(ph) == 1 and i == last):
                 raise GrammarError(f"phrase {i}: bad LZD phrase {ph!r}")
             for part in ph:
-                if not (isinstance(part, Literal)
+                if not (isinstance(part, Literal) and type(part.symbol) is int
                         or type(part) is int and 1 <= part < i):
                     raise GrammarError(f"phrase {i}: bad part {part!r}")
             yield ph
     elif parsing.scheme is Scheme.LZMW:
         for i, ph in enumerate(phrases, start=1):
-            if isinstance(ph, Literal):
+            if isinstance(ph, Literal) and type(ph.symbol) is int:
                 yield (ph,)
             elif type(ph) is int and 1 <= ph <= i - 2:
                 yield ph, ph + 1
@@ -428,7 +429,7 @@ def validate_grammar(g: Grammar) -> None:
         raise GrammarError("start rule missing")
     for rid, rhs in g.productions.items():
         for part in rhs:
-            if isinstance(part, Literal):
+            if isinstance(part, Literal) and type(part.symbol) is int:
                 continue
             if type(part) is not int:
                 raise GrammarError(f"rule {rid}: bad part {part!r}")

@@ -12,14 +12,16 @@ one.  Nearest-marked-ancestor queries use Euler-tour intervals kept in an
 order-maintenance list, whose labels are ints below 2^60 kept apart by local
 relabelling (O(log n) amortized items moved per insert): marked intervals
 nest or are disjoint, so the innermost marked interval containing a node's
-opening endpoint is its deepest marked ancestor-or-self.  A marked node
-answers for itself, so only marked nodes that are someone's ancestor, those
-with children, need an interval in the index.
+opening endpoint is its deepest marked ancestor-or-self.  Only internal
+nodes carry an interval and a child dict.  A leaf is always marked, so it
+answers for itself and is never stabbed from nor entered; it gets both when
+it gets its first child.
 """
 
 from __future__ import annotations
 
 import random
+from types import MappingProxyType
 
 from .avlgrammar import AvlGrammar, Probe
 
@@ -129,7 +131,9 @@ class MarkedAncestorIndex:
     before it whose closing label is at or after it.  For nested-or-disjoint
     intervals that is the innermost container, i.e. the deepest marked
     proper ancestor of v, provided every marked node with a descendant has
-    been entered.
+    been entered.  Only internal nodes have intervals, which suffices: an
+    unmarked node has children, and a marked one is entered only once it
+    has a child.
     """
 
     def __init__(self):
@@ -205,6 +209,10 @@ class MarkedAncestorIndex:
 # ---------------------------------------------------------------------------
 # the trie
 
+# every leaf's children: read-only, so a stray write raises
+_NO_CHILDREN = MappingProxyType({})
+
+
 class _TrieNode:
     __slots__ = ("parent", "depth", "tree", "hash", "children", "payload",
                  "open_item", "close_item")
@@ -214,9 +222,9 @@ class _TrieNode:
         self.depth = depth
         self.tree = tree  # its string is tree[0:depth) (the root has none)
         self.hash = hash_  # of its string
-        self.children = {}
+        self.children = _NO_CHILDREN  # a dict once it has a child
         self.payload = None
-        self.open_item = None
+        self.open_item = None  # its Euler interval, once it has a child
         self.close_item = None
 
 
@@ -239,6 +247,7 @@ class ZTrie:
         self.ops = 0
         self.max_depth = 0  # no table key is longer
         root = _TrieNode(None, 0, None, 0)
+        root.children = {}
         root.open_item = self.om.insert_after(self.om.head)
         root.close_item = self.om.insert_after(root.open_item)
         self.root = root
@@ -249,17 +258,23 @@ class ZTrie:
         h = self.g.prefix_fp(node.tree, f) if f < node.depth else node.hash
         self.table[(f, h)] = node
 
+    def _open_inside(self, node: _TrieNode) -> None:
+        """Give node an Euler interval, the last one inside its parent's."""
+        node.open_item = self.om.insert_after(node.parent.close_item.prev)
+        node.close_item = self.om.insert_after(node.open_item)
+
     def _new_leaf(self, parent, tree) -> _TrieNode:
-        """New childless node spelling the whole tree; its Euler interval
-        nests just inside parent's.  A marked parent getting its first child
-        enters the index."""
-        if parent.payload is not None and not parent.children:
-            self.ma.enter(parent)
+        """New bare leaf under parent spelling the whole tree.  A leaf
+        parent getting its first child gets its interval and child dict
+        first, and then, if marked, enters the index."""
+        if parent.open_item is None:
+            self._open_inside(parent)
+            parent.children = {}
+            if parent.payload is not None:
+                self.ma.enter(parent)
         if tree.length > self.max_depth:
             self.max_depth = tree.length
         node = _TrieNode(parent, tree.length, tree, tree.hash)
-        node.open_item = self.om.insert_after(parent.close_item.prev)
-        node.close_item = self.om.insert_after(node.open_item)
         self.node_count += 1
         return node
 
@@ -310,8 +325,12 @@ class ZTrie:
         # when a fingerprint collision led the search here
         mid = _TrieNode(v, mid_depth, c.tree,
                         self.g.prefix_fp(c.tree, mid_depth))
-        mid.open_item = self.om.insert_after(c.open_item.prev)
-        mid.close_item = self.om.insert_after(c.close_item)
+        mid.children = {}
+        if c.open_item is None:
+            self._open_inside(mid)
+        else:  # wrap c's interval
+            mid.open_item = self.om.insert_after(c.open_item.prev)
+            mid.close_item = self.om.insert_after(c.close_item)
         self.node_count += 1
         # c's entry in v.children, found by identity; an insert under a
         # fingerprint collision may have replaced it, and then none changes

@@ -122,6 +122,24 @@ def test_verify_rejects_wrong_source_length(tmp_path, capsys):
         assert "FAILED" in capsys.readouterr().err
 
 
+def test_verify_non_canonical_parsing_exits_2(tmp_path, capsys):
+    # the worked example's greedy parsing with one number not written in
+    # canonical form: it spells the same parsing, but is not a parsing file
+    text = write_ex1(tmp_path)
+    good = b"LZD 5 13\nL:0 L:1\nL:1 L:0\nP:1 P:1\nL:0 P:1\nL:0 L:2\n"
+    path = tmp_path / "ex1.parsing"
+    for old, new in ((b"L:0 L:1", b"L:00 L:1"), (b"P:1 P:1", b"P:+1 P:1"),
+                     (b"L:2", b"L:0_2")):
+        path.write_bytes(good.replace(old, new))
+        for strict in ([], ["--strict"]):
+            assert main(["verify", "--scheme", "lzd", "--in", text,
+                         "--parsing", str(path)] + strict) == 2
+            assert "bad token" in capsys.readouterr().err
+    path.write_bytes(good)
+    assert main(["verify", "--scheme", "lzd", "--in", text,
+                 "--parsing", str(path), "--strict"]) == 0
+
+
 def test_gen_raw_over_256_symbols_exits_2(tmp_path, capsys):
     out = tmp_path / "x.raw"
     assert main(["gen", "--family", "lzd-slow", "--k", "16", "--out", str(out),

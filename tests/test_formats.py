@@ -137,6 +137,21 @@ def test_bad_parsing_files_rejected(data):
         load_parsing(data)
 
 
+@pytest.mark.parametrize("data", [
+    b"LZD 1 2\nL:1_0 P:+1\n",
+    *(b"LZD 1 2\nL:0 " + token + b"\n" for token in (
+        b"L:1_0", b"L:01", b"L:00", b"L:+1", b"L:-0", b"P:+1", b"P:01",
+        b"P:1_0", b"P:00", b"L:", b"P:")),
+])
+def test_non_canonical_tokens_rejected(data):
+    # a number is read back only as _part_token writes it, so every file
+    # that loads dumps back to its own bytes
+    with pytest.raises(FormatError):
+        load_parsing(data)
+    canonical = b"LZD 2 12\nL:0 L:10\nP:10\n"
+    assert dump_parsing(load_parsing(canonical)) == canonical
+
+
 def test_parsing_file_io(tmp_path):
     path = tmp_path / "ex1.lzp"
     write_parsing_file(str(path), EX1_LZMW)

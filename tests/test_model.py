@@ -299,6 +299,26 @@ def test_malformed_phrase_shapes_rejected(parsing):
         dump_parsing(parsing)
 
 
+@pytest.mark.parametrize("symbol", [True, 1.0])
+def test_literal_symbols_must_be_ints(symbol):
+    # Literal(True) == Literal(1), so a Literal's symbol must be exactly an
+    # int, as an index part must: else a parsing passes strict verification
+    # and is written as a token that no reader accepts
+    from lzgram import Grammar
+
+    text = make_text([1, 0], 2)
+    for parsing in (Parsing(Scheme.LZD, ((Literal(symbol), Literal(0)),), 2),
+                    Parsing(Scheme.LZMW, (Literal(symbol), Literal(0)), 2)):
+        for strict in (False, True):
+            assert not verify_parsing(text, parsing, strict=strict)
+        with pytest.raises(GrammarError):
+            phrase_expansions(parsing)
+        with pytest.raises(TypeError):
+            dump_parsing(parsing)
+    with pytest.raises(GrammarError):
+        validate_grammar(Grammar({1: (Literal(symbol), Literal(0))}, 1))
+
+
 def test_distinctness_checks():
     assert check_lzd_distinct(EX1_LZD)
     assert check_lzmw_pair_distinct(EX1_LZMW)

@@ -2,13 +2,17 @@
 
 import math
 import random
+from types import MappingProxyType
+
+import pytest
 
 from lzgram import (AvlGrammar, HashConfig, Scheme, parse_fast,
                     parse_reference, ztrie)
+from lzgram.adversarial import FAMILIES
 from lzgram.ztrie import MarkedAncestorIndex, OrderList, ZTrie, two_fattest
 
-from support import (build_by_copies, copy_of, probe_on, random_text,
-                     to_symbols, tree_of)
+from support import (build_by_copies, copy_of, engine_parse, probe_on,
+                     random_text, to_symbols, tree_of)
 
 
 class ListProbe:
@@ -660,3 +664,57 @@ def test_node_hashes_after_plain_inserts():
             assert v.hash == g.prefix_fp(v.tree, v.depth)
             if v.parent is not None and two_fattest(v.parent.depth, v.depth) == v.depth:
                 assert trie.table[(v.depth, v.hash)] is v
+
+
+def engine_corpus():
+    """(symbols, scheme, cfg) of the slow families at k=8 and of seeded
+    random texts, a third of them at modulus 31, where collisions are
+    frequent."""
+    for name in ("lzd-slow", "lzmw-slow"):
+        gen, scheme, _ = FAMILIES[name]
+        yield gen(8).symbols, scheme, HashConfig.from_seed(0)
+    rng = random.Random(1618)
+    for trial in range(30):
+        syms = random_text(rng, rng.randrange(50, 600),
+                           rng.choice([2, 3, 4, 16])).symbols
+        cfg = (HashConfig(p=31, delta=rng.randrange(1, 31)) if trial % 3 == 0
+               else HashConfig.from_seed(rng.randrange(1 << 30)))
+        for scheme in Scheme:
+            yield syms, scheme, cfg
+
+
+def test_only_internal_nodes_have_intervals(monkeypatch):
+    # a leaf has no Euler interval and shares one read-only empty child map;
+    # a node gets its interval, strictly inside its parent's, and its own
+    # dict with its first child, so the order list holds two items per
+    # internal node, and the index still answers like a walk up.  Every
+    # node made is checked: under a collision an insert can replace a child
+    # in its parent's map, and no walk from the root reaches it then
+    made = []
+
+    class Recorded(ztrie._TrieNode):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(ztrie, "_TrieNode", Recorded)
+    for syms, scheme, cfg in engine_corpus():
+        made.clear()
+        eng, _ = engine_parse(syms, scheme, cfg)
+        trie = eng.trie
+        internal = [v for v in made if v.children]
+        assert len(internal) < len(made)
+        for v in made:
+            if v.children:
+                assert type(v.children) is dict
+                if v.parent is not None:
+                    p = v.parent
+                    assert (p.open_item.label < v.open_item.label
+                            < v.close_item.label < p.close_item.label)
+            else:
+                assert v.open_item is None and v.close_item is None
+                assert type(v.children) is MappingProxyType
+                with pytest.raises(TypeError):
+                    v.children[0] = v
+            assert trie.ma.nearest(v) is walk_up_marked(v)
+        assert len(list_labels(trie.om)) == 2 * len(internal)
