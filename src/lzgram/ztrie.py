@@ -266,12 +266,11 @@ class ZTrie:
     def _new_leaf(self, parent, tree) -> _TrieNode:
         """New bare leaf under parent spelling the whole tree.  A leaf
         parent getting its first child gets its interval and child dict
-        first, and then, if marked, enters the index."""
+        first, and then enters the index: insert marks every leaf."""
         if parent.open_item is None:
             self._open_inside(parent)
             parent.children = {}
-            if parent.payload is not None:
-                self.ma.enter(parent)
+            self.ma.enter(parent)
         if tree.length > self.max_depth:
             self.max_depth = tree.length
         node = _TrieNode(parent, tree.length, tree, tree.hash)
