@@ -27,8 +27,9 @@ class FormatError(ValueError):
 
 def dump_text(text: Text) -> bytes:
     syms = text.symbols
-    # each distinct symbol is converted once
-    tokens = list(map({v: str(v) for v in set(syms)}.__getitem__, syms))
+    # each distinct symbol is converted once, as an int: True writes 1, and
+    # a symbol that is no int raises TypeError
+    tokens = list(map({v: int.__repr__(v) for v in set(syms)}.__getitem__, syms))
     lines = [f"#sigma {text.alphabet_bound}"]
     lines += [" ".join(tokens[i:i + 64]) for i in range(0, len(tokens), 64)]
     return ("\n".join(lines) + "\n").encode("ascii")
@@ -115,12 +116,17 @@ def dump_parsing(parsing: Parsing) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
+def _canonical(digits: str) -> bool:
+    """Whether digits is a number as this module writes it: decimal digits
+    only (the file is ASCII), no sign, no `_` and no leading zero."""
+    return digits.isdigit() and (digits[0] != "0" or digits == "0")
+
+
 def _parse_token(tok: str):
-    """A Literal for `L:<symbol>`, the int for `P:<index>` (1-based).  The
-    number must be written as `_part_token` writes it: decimal digits only
-    (the file is ASCII), no sign, no `_` and no leading zero."""
+    """A Literal for `L:<symbol>`, the int for `P:<index>` (1-based), each
+    number canonical."""
     kind, digits = tok[:2], tok[2:]
-    if digits.isdigit() and (digits[0] != "0" or digits == "0"):
+    if _canonical(digits):
         if kind == "L:":
             return Literal(int(digits))
         if kind == "P:" and digits != "0":
@@ -137,13 +143,11 @@ def load_parsing(data: bytes) -> Parsing:
     if not lines:
         raise FormatError("empty parsing file")
     head = lines[0].split()
-    if len(head) != 3 or head[0] not in ("LZD", "LZMW"):
+    if (len(head) != 3 or head[0] not in ("LZD", "LZMW")
+            or not all(map(_canonical, head[1:]))):
         raise FormatError(f"bad header {lines[0]!r}")
     scheme = Scheme.LZD if head[0] == "LZD" else Scheme.LZMW
-    try:
-        z, n = int(head[1]), int(head[2])
-    except ValueError:
-        raise FormatError(f"bad header {lines[0]!r}") from None
+    z, n = int(head[1]), int(head[2])
     body = lines[1:]
     if len(body) != z:
         raise FormatError(f"header announces {z} phrases, file has {len(body)}")

@@ -35,8 +35,8 @@ def _is_prime(n: int) -> bool:
 @dataclass(frozen=True)
 class HashConfig:
     """Field modulus, a prime in [3, 2^64), and the per-run base delta in
-    [1, p-1].  The modulus must be prime: the engine inverts delta as
-    delta^(p-2)."""
+    [1, p-1].  The modulus must be prime, so that every delta is invertible
+    and the hashes live in a field."""
 
     p: int = MERSENNE61
     delta: int = 1
@@ -50,7 +50,7 @@ class HashConfig:
     @cached_property
     def delta_inv(self) -> int:
         """delta^-1 mod p, computed once per configuration."""
-        return pow(self.delta, self.p - 2, self.p)
+        return pow(self.delta, -1, self.p)
 
     @staticmethod
     def from_seed(seed: int, p: int = MERSENNE61) -> "HashConfig":

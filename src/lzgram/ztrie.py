@@ -12,10 +12,11 @@ one.  Nearest-marked-ancestor queries use Euler-tour intervals kept in an
 order-maintenance list, whose labels are ints below 2^60 kept apart by local
 relabelling (O(log n) amortized items moved per insert): marked intervals
 nest or are disjoint, so the innermost marked interval containing a node's
-opening endpoint is its deepest marked ancestor-or-self.  Only internal
-nodes carry an interval and a child dict.  A leaf is always marked, so it
-answers for itself and is never stabbed from nor entered; it gets both when
-it gets its first child.
+opening endpoint is its deepest marked ancestor-or-self.  A marked node
+answers for itself, so a query only ever starts at an unmarked node: the
+root, or a split node no dictionary string ends at.  Only those nodes and
+their ancestors carry an interval, and only the marked ones among them are
+entered in the index.  A leaf also has no child dict until it gets a child.
 """
 
 from __future__ import annotations
@@ -130,10 +131,9 @@ class MarkedAncestorIndex:
     opening label: the entered interval with the largest opening label at or
     before it whose closing label is at or after it.  For nested-or-disjoint
     intervals that is the innermost container, i.e. the deepest marked
-    proper ancestor of v, provided every marked node with a descendant has
-    been entered.  Only internal nodes have intervals, which suffices: an
-    unmarked node has children, and a marked one is entered only once it
-    has a child.
+    proper ancestor of v, provided every marked ancestor of an unmarked node
+    has been entered.  ZTrie gives an interval to every unmarked node and to
+    its ancestors, and enters each marked node that has one.
     """
 
     def __init__(self):
@@ -143,7 +143,7 @@ class MarkedAncestorIndex:
 
     def enter(self, tnode) -> None:
         """Enter a marked node's interval, once; ZTrie enters a marked node
-        when it has or gets its first child."""
+        when it is marked or gets its interval, whichever comes last."""
         self._root = self._insert(self._root, _TreapNode(tnode, self._rng.random()))
 
     def _insert(self, t, node):
@@ -224,8 +224,8 @@ class _TrieNode:
         self.hash = hash_  # of its string
         self.children = _NO_CHILDREN  # a dict once it has a child
         self.payload = None
-        self.open_item = None  # its Euler interval, once it has a child
-        self.close_item = None
+        self.open_item = None  # its Euler interval, once a query can
+        self.close_item = None  # start at it or below it
 
 
 class ZTrie:
@@ -258,19 +258,27 @@ class ZTrie:
         h = self.g.prefix_fp(node.tree, f) if f < node.depth else node.hash
         self.table[(f, h)] = node
 
-    def _open_inside(self, node: _TrieNode) -> None:
-        """Give node an Euler interval, the last one inside its parent's."""
-        node.open_item = self.om.insert_after(node.parent.close_item.prev)
-        node.close_item = self.om.insert_after(node.open_item)
+    def _join(self, node: _TrieNode) -> None:
+        """Give node, and each ancestor without one, an Euler interval,
+        top-down, each the last one inside its parent's, and enter the
+        marked ones.  The nodes with intervals are closed upwards, so none
+        lies below a node that joins, and each node joins once."""
+        path = []
+        while node.open_item is None:
+            path.append(node)
+            node = node.parent
+        om = self.om
+        for node in reversed(path):
+            node.open_item = om.insert_after(node.parent.close_item.prev)
+            node.close_item = om.insert_after(node.open_item)
+            if node.payload is not None:
+                self.ma.enter(node)
 
     def _new_leaf(self, parent, tree) -> _TrieNode:
-        """New bare leaf under parent spelling the whole tree.  A leaf
-        parent getting its first child gets its interval and child dict
-        first, and then enters the index: insert marks every leaf."""
-        if parent.open_item is None:
-            self._open_inside(parent)
+        """New bare leaf under parent spelling the whole tree; a leaf
+        parent gets its child dict."""
+        if parent.children is _NO_CHILDREN:
             parent.children = {}
-            self.ma.enter(parent)
         if tree.length > self.max_depth:
             self.max_depth = tree.length
         node = _TrieNode(parent, tree.length, tree, tree.hash)
@@ -306,13 +314,15 @@ class ZTrie:
         if m < v.depth:
             v = self._split(v, m)
         if m < probe.length:
+            if v.payload is None:  # v stays unmarked: a query can start here
+                self._join(v)
             leaf = self._new_leaf(v, tree)
             v.children[probe.symbol_at(m)] = leaf
             self._register(leaf)
             v = leaf
         if v.payload is None:
             v.payload = payload
-            if v.children:  # a leaf is entered with its first child
+            if v.open_item is not None:  # else it is entered when it joins
                 self.ma.enter(v)
         return v
 
@@ -325,9 +335,8 @@ class ZTrie:
         mid = _TrieNode(v, mid_depth, c.tree,
                         self.g.prefix_fp(c.tree, mid_depth))
         mid.children = {}
-        if c.open_item is None:
-            self._open_inside(mid)
-        else:  # wrap c's interval
+        # wrap c's interval; without one, mid joins if it stays unmarked
+        if c.open_item is not None:
             mid.open_item = self.om.insert_after(c.open_item.prev)
             mid.close_item = self.om.insert_after(c.close_item)
         self.node_count += 1

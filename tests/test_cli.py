@@ -140,6 +140,18 @@ def test_verify_non_canonical_parsing_exits_2(tmp_path, capsys):
                  "--parsing", str(path), "--strict"]) == 0
 
 
+def test_verify_non_canonical_header_exits_2(tmp_path, capsys):
+    text = write_ex1(tmp_path)
+    good = b"LZD 5 13\nL:0 L:1\nL:1 L:0\nP:1 P:1\nL:0 P:1\nL:0 L:2\n"
+    path = tmp_path / "ex1.parsing"
+    for header in (b"LZD +5 1_3", b"LZD 05 13", b"LZD 5 +13"):
+        path.write_bytes(good.replace(b"LZD 5 13", header))
+        for strict in ([], ["--strict"]):
+            assert main(["verify", "--scheme", "lzd", "--in", text,
+                         "--parsing", str(path)] + strict) == 2
+            assert "bad header" in capsys.readouterr().err
+
+
 def test_gen_raw_over_256_symbols_exits_2(tmp_path, capsys):
     out = tmp_path / "x.raw"
     assert main(["gen", "--family", "lzd-slow", "--k", "16", "--out", str(out),

@@ -40,6 +40,16 @@ def test_text_file_bytes_pinned():
     assert dump_text(make_text([5], 6)) == b"#sigma 6\n5\n"
 
 
+def test_dump_text_writes_int_symbols():
+    # a bool symbol is written as the int it equals, so the file loads back
+    # equal; a symbol that is no int is refused rather than written
+    text = make_text([True, 0, 1], 2)
+    assert dump_text(text) == b"#sigma 2\n1 0 1\n"
+    assert load_text(dump_text(text)) == text
+    with pytest.raises(TypeError):
+        dump_text(make_text([1.0, 0], 2))
+
+
 def test_raw_round_trip():
     t = make_text([0, 255, 7], 256)
     assert load_text_raw(dump_text_raw(t)) == t
@@ -150,6 +160,20 @@ def test_non_canonical_tokens_rejected(data):
         load_parsing(data)
     canonical = b"LZD 2 12\nL:0 L:10\nP:10\n"
     assert dump_parsing(load_parsing(canonical)) == canonical
+
+
+@pytest.mark.parametrize("header", [
+    b"LZD +1 1_3", b"LZD 01 2", b"LZD 1 02", b"LZD 1 -2", b"LZD 1 +2",
+    b"LZMW +1 2", b"LZMW 1 0_2", b"LZMW 01 -0",
+])
+def test_non_canonical_header_rejected(header):
+    # the header's numbers follow the tokens' rule, so that every file that
+    # loads dumps back to its own bytes
+    body = b"\nL:0 L:1\n" if header.startswith(b"LZD") else b"\nL:0\n"
+    with pytest.raises(FormatError):
+        load_parsing(header + body)
+    for canonical in (b"LZD 1 13\nL:0 L:1\n", b"LZMW 1 2\nL:0\n"):
+        assert dump_parsing(load_parsing(canonical)) == canonical
 
 
 def test_parsing_file_io(tmp_path):

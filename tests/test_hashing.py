@@ -23,6 +23,14 @@ def test_worked_example_small_field():
     assert g.prefix_fp(abc, 0) == 0
 
 
+@pytest.mark.parametrize("p", [31, 251, MERSENNE61])
+def test_delta_inv_is_fermat_inverse(p):
+    for delta in (1, 2, 3, p // 2, p - 2, p - 1):
+        inv = HashConfig(p=p, delta=delta).delta_inv
+        assert inv == pow(delta, p - 2, p)
+        assert delta * inv % p == 1
+
+
 def test_from_seed_deterministic_and_ranged():
     a = HashConfig.from_seed(42)
     b = HashConfig.from_seed(42)

@@ -207,7 +207,9 @@ def test_marked_ancestor_matches_walk_up():
 
 def test_index_and_parses_under_constant_relabels(monkeypatch):
     # a 4-bit universe makes nearly every insert relabel and grow it; the
-    # treap keyed by open labels must keep answering like a walk up
+    # treap keyed by open labels must keep answering like a walk up.  At
+    # least 15 strings per trie make enough of them branch off at points no
+    # string ends at for every trie to relabel
     monkeypatch.setattr(ztrie, "_LABEL_BITS", 4)
     rng = random.Random(16)
     for _ in range(20):
@@ -216,7 +218,7 @@ def test_index_and_parses_under_constant_relabels(monkeypatch):
         cfg = HashConfig.from_seed(rng.randrange(1 << 30))
         g = AvlGrammar(cfg)
         trie = ZTrie(g)
-        for idx in range(rng.randrange(5, 40)):
+        for idx in range(rng.randrange(15, 40)):
             start = rng.randrange(n)
             end = rng.randrange(start + 1, min(n, start + 12) + 1)
             trie.insert(tree_of(g, content[start:end]), ("dict", idx))
@@ -596,9 +598,10 @@ def entered_nodes(ma):
 
 
 def test_index_and_search_bound_after_every_insert():
-    # the index holds exactly the marked nodes with children (a marked node
-    # answers for itself), and no search probes a length beyond the deepest
-    # node, where every table lookup must miss
+    # the index holds exactly the marked nodes with intervals (a marked node
+    # answers for itself), the nodes with intervals are closed upwards, and
+    # no search probes a length beyond the deepest node, where every table
+    # lookup must miss
     rng = random.Random(31415)
     for _ in range(25):
         sigma = rng.choice([2, 3, 4])
@@ -624,7 +627,9 @@ def test_index_and_search_bound_after_every_insert():
             assert len({id(v) for v in entered}) == len(entered)
             assert ({id(v) for v in entered}
                     == {id(v) for v in nodes
-                        if v.payload is not None and v.children})
+                        if v.payload is not None and v.open_item is not None})
+            assert all(v.parent.open_item is not None for v in nodes
+                       if v.open_item is not None and v.parent is not None)
             assert trie.max_depth == max(v.depth for v in nodes)
             for _ in range(4):
                 a = rng.randrange(n)
@@ -684,37 +689,82 @@ def engine_corpus():
 
 
 def test_only_internal_nodes_have_intervals(monkeypatch):
-    # a leaf has no Euler interval and shares one read-only empty child map;
-    # a node gets its interval, strictly inside its parent's, and its own
-    # dict with its first child, so the order list holds two items per
-    # internal node, and the index still answers like a walk up.  Every
-    # node made is checked: under a collision an insert can replace a child
-    # in its parent's map, and no walk from the root reaches it then
-    made = []
+    # a query starts only at an unmarked node, so a node has an Euler
+    # interval iff it is the root, was left unmarked by the insert that made
+    # it, or is an ancestor of one; the index holds exactly the marked ones
+    # among them.  Leaves are marked and so have none, and they share one
+    # read-only empty child map.  The intervals nest as the nodes do, and
+    # the index answers like a walk up.  Every node made is checked: under a
+    # collision an insert can replace a child in its parent's map, and no
+    # walk from the root reaches it then
+    made, left_unmarked = [], []
 
     class Recorded(ztrie._TrieNode):
         def __init__(self, *args):
             super().__init__(*args)
             made.append(self)
 
+    insert = ZTrie.insert
+
+    def recorded_insert(self, *args, **kwargs):
+        before = len(made)
+        v = insert(self, *args, **kwargs)
+        left_unmarked.extend(u for u in made[before:] if u.payload is None)
+        return v
+
     monkeypatch.setattr(ztrie, "_TrieNode", Recorded)
+    monkeypatch.setattr(ZTrie, "insert", recorded_insert)
     for syms, scheme, cfg in engine_corpus():
         made.clear()
+        left_unmarked.clear()
         eng, _ = engine_parse(syms, scheme, cfg)
         trie = eng.trie
-        internal = [v for v in made if v.children]
-        assert len(internal) < len(made)
+        reach = {}
+        for v in [trie.root] + left_unmarked:
+            while v is not None and id(v) not in reach:
+                reach[id(v)] = v
+                v = v.parent
+        assert {id(v) for v in made if v.open_item is not None} == reach.keys()
+        assert all(v.open_item is not None for v in made if v.payload is None)
+        # the order list is an Euler tour of the nodes with intervals
+        ends = {id(v.open_item): v for v in reach.values()}
+        stack, item = [], trie.om.head.next
+        while item is not trie.om.head:
+            assert item.prev.label < item.label
+            v = ends.get(id(item))
+            if v is not None:
+                assert v.parent is (stack[-1] if stack else None)
+                stack.append(v)
+            else:
+                assert item is stack.pop().close_item
+            item = item.next
+        assert not stack
+        assert len(list_labels(trie.om)) == 2 * len(reach)
+        entered = entered_nodes(trie.ma)
+        assert len({id(v) for v in entered}) == len(entered)
+        assert ({id(v) for v in entered}
+                == {i for i, v in reach.items() if v.payload is not None})
         for v in made:
             if v.children:
                 assert type(v.children) is dict
-                if v.parent is not None:
-                    p = v.parent
-                    assert (p.open_item.label < v.open_item.label
-                            < v.close_item.label < p.close_item.label)
             else:
                 assert v.open_item is None and v.close_item is None
                 assert type(v.children) is MappingProxyType
                 with pytest.raises(TypeError):
                     v.children[0] = v
             assert trie.ma.nearest(v) is walk_up_marked(v)
-        assert len(list_labels(trie.om)) == 2 * len(internal)
+
+
+@pytest.mark.parametrize("name", ["lzd-slow", "lzmw-slow"])
+def test_slow_families_index_only_the_root(name):
+    # every split node on the slow families ends a dictionary string, so
+    # the root is the one node a query starts at: it alone has an interval,
+    # nothing is entered and the index does no work
+    gen, scheme, _ = FAMILIES[name]
+    for k in (8, 16):
+        eng, _ = engine_parse(gen(k).symbols, scheme, HashConfig.from_seed(0))
+        trie = eng.trie
+        assert trie.ma._root is None
+        assert list_labels(trie.om) == [trie.root.open_item.label,
+                                        trie.root.close_item.label]
+        assert eng.stats().ma_ops == 0
