@@ -116,21 +116,26 @@ def dump_parsing(parsing: Parsing) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def _canonical(digits: str) -> bool:
-    """Whether digits is a number as this module writes it: decimal digits
-    only (the file is ASCII), no sign, no `_` and no leading zero."""
-    return digits.isdigit() and (digits[0] != "0" or digits == "0")
+def _number(digits: str) -> int | None:
+    """digits as an int, if written as this module writes numbers: decimal
+    digits only (the file is ASCII), no sign, no `_` and no leading zero.
+    Else None, also for more digits than `int()` reads."""
+    if digits.isdigit() and (digits[0] != "0" or digits == "0"):
+        try:
+            return int(digits)
+        except ValueError:  # past the interpreter's digit limit
+            pass
+    return None
 
 
 def _parse_token(tok: str):
-    """A Literal for `L:<symbol>`, the int for `P:<index>` (1-based), each
-    number canonical."""
-    kind, digits = tok[:2], tok[2:]
-    if _canonical(digits):
+    """A Literal for `L:<symbol>`, the int for `P:<index>` (1-based)."""
+    kind, value = tok[:2], _number(tok[2:])
+    if value is not None:
         if kind == "L:":
-            return Literal(int(digits))
-        if kind == "P:" and digits != "0":
-            return int(digits)
+            return Literal(value)
+        if kind == "P:" and value:
+            return value
     raise FormatError(f"bad token {tok!r}")
 
 
@@ -143,11 +148,11 @@ def load_parsing(data: bytes) -> Parsing:
     if not lines:
         raise FormatError("empty parsing file")
     head = lines[0].split()
-    if (len(head) != 3 or head[0] not in ("LZD", "LZMW")
-            or not all(map(_canonical, head[1:]))):
+    numbers = [_number(x) for x in head[1:]]
+    if len(head) != 3 or head[0] not in ("LZD", "LZMW") or None in numbers:
         raise FormatError(f"bad header {lines[0]!r}")
     scheme = Scheme.LZD if head[0] == "LZD" else Scheme.LZMW
-    z, n = int(head[1]), int(head[2])
+    z, n = numbers
     body = lines[1:]
     if len(body) != z:
         raise FormatError(f"header announces {z} phrases, file has {len(body)}")

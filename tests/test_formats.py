@@ -147,6 +147,12 @@ def test_bad_parsing_files_rejected(data):
         load_parsing(data)
 
 
+def test_overlong_token_rejected():
+    # more digits than int() reads is a malformed file, not a crash
+    with pytest.raises(FormatError):
+        load_parsing(b"LZD 1 2\nL:" + b"1" * 5000 + b" L:1\n")
+
+
 @pytest.mark.parametrize("data", [
     b"LZD 1 2\nL:1_0 P:+1\n",
     *(b"LZD 1 2\nL:0 " + token + b"\n" for token in (
@@ -164,7 +170,7 @@ def test_non_canonical_tokens_rejected(data):
 
 @pytest.mark.parametrize("header", [
     b"LZD +1 1_3", b"LZD 01 2", b"LZD 1 02", b"LZD 1 -2", b"LZD 1 +2",
-    b"LZMW +1 2", b"LZMW 1 0_2", b"LZMW 01 -0",
+    b"LZMW +1 2", b"LZMW 1 0_2", b"LZMW 01 -0", b"LZD 1 " + b"1" * 5000,
 ])
 def test_non_canonical_header_rejected(header):
     # the header's numbers follow the tokens' rule, so that every file that
