@@ -160,18 +160,15 @@ class _Engine:
         the nodes of the phrase trees, the whole grammar; the trie and carry
         are freed before that walk, so it does not set the run's peak memory."""
         trie = self.trie
-        trie_ops, ma_ops = trie.ops, trie.ma.ops
+        trie_ops, ma_ops = trie.ops, trie.ma_ops
         trie_nodes = trie.node_count
         trees = self._trees
-        # the trie's parent/children links and the circular order list are
-        # reference cycles: cut them so that both go now, not at the next
+        # a node's parent and up links close reference cycles with the
+        # children dicts: cut them so that the trie goes now, not at the next
         # cyclic collection.  Every non-root node owns a table key (one whose
         # key a collision took is left to the collector)
         for u in trie.table.values():
-            u.parent = None
-        item = trie.om.head
-        while item.next is not None:
-            item.prev, item.next, item = None, None, item.next
+            u.parent = u.up = None
         self.trie = self.carry = self._trees = self._last = trie = None
         return FastStats(
             symbols_read=self.reader.delivered,

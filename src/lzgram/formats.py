@@ -1,8 +1,8 @@
 """On-disk formats.
 
 Text files (".sym"): a header line `#sigma <N>` followed by ASCII decimal
-symbol values separated by single spaces or newlines.  Texts over an alphabet
-bound <= 256 may instead be stored raw, one byte per symbol.
+symbol values separated by single spaces or newlines.  Texts over an
+alphabet bound <= 256 may instead be stored raw, one byte per symbol.
 
 Parsing files: a header `LZD <z> <n>` or `LZMW <z> <n>`, then one phrase per
 line, one token per part of the in-memory phrase.  Tokens are `L:<symbol>`
@@ -10,6 +10,10 @@ for a `Literal` and `P:<index>` for an int, the 1-based index of an earlier
 phrase (LZD) or of a pair p_j p_(j+1) (LZMW).  An LZD line is the phrase's
 part tuple, two tokens or one on a final one-part phrase; an LZMW line is
 its one part.
+
+Every number in either file is written without sign, `_` or leading zero,
+and is read back only in that form, so every file that loads dumps back to
+its own bytes.
 """
 
 from __future__ import annotations
@@ -19,6 +23,18 @@ from .model import Literal, Parsing, Scheme, Text
 
 class FormatError(ValueError):
     """Malformed input file."""
+
+
+def _number(digits: str) -> int | None:
+    """digits as an int, if written as this module writes numbers: decimal
+    digits only (the file is ASCII), no sign, no `_` and no leading zero.
+    Else None, also for more digits than `int()` reads."""
+    if digits.isdigit() and (digits[0] != "0" or digits == "0"):
+        try:
+            return int(digits)
+        except ValueError:  # past the interpreter's digit limit
+            pass
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -45,16 +61,15 @@ def load_text(data: bytes) -> Text:
         raise FormatError("missing '#sigma <N>' header")
     if len(tokens) < 2:
         raise FormatError("missing alphabet bound after #sigma")
-    body = tokens[2:]
+    # the bound and each distinct symbol token are converted once, in token
+    # order, so the first bad number is the one named, and equal symbols
+    # share one int
+    ints = {tok: _number(tok) for tok in dict.fromkeys(tokens[1:])}
+    for tok, value in ints.items():
+        if value is None:
+            raise FormatError(f"bad integer token {tok!r}")
     try:
-        bound = int(tokens[1])
-        # each distinct token is converted once, in token order, so the first
-        # bad token is the one named, and equal symbols share one int
-        ints = {tok: int(tok) for tok in dict.fromkeys(body)}
-    except ValueError as e:
-        raise FormatError(f"bad integer token: {e}") from None
-    try:
-        return Text(tuple(map(ints.__getitem__, body)), bound)
+        return Text(tuple(map(ints.__getitem__, tokens[2:])), ints[tokens[1]])
     except ValueError as e:
         raise FormatError(str(e)) from None
 
@@ -114,18 +129,6 @@ def dump_parsing(parsing: Parsing) -> bytes:
     else:
         lines.extend(map(_part_token, parsing.phrases))
     return ("\n".join(lines) + "\n").encode("ascii")
-
-
-def _number(digits: str) -> int | None:
-    """digits as an int, if written as this module writes numbers: decimal
-    digits only (the file is ASCII), no sign, no `_` and no leading zero.
-    Else None, also for more digits than `int()` reads."""
-    if digits.isdigit() and (digits[0] != "0" or digits == "0"):
-        try:
-            return int(digits)
-        except ValueError:  # past the interpreter's digit limit
-            pass
-    return None
 
 
 def _parse_token(tok: str):

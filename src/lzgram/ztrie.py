@@ -1,4 +1,4 @@
-"""Hash-indexed compacted trie with a nearest-marked-ancestor index.
+"""Hash-indexed compacted trie with nearest-marked-ancestor pointers.
 
 The trie stores each dictionary string as the `AvlGrammar` tree that spells
 it; no string data is copied.  Lookups run a fat binary search over prefix
@@ -8,20 +8,36 @@ computations.  All answers are therefore correct only with high probability;
 callers recover from collisions at a higher level.
 
 Nodes with a payload are the current dictionary; a node is marked iff it has
-one.  Nearest-marked-ancestor queries use Euler-tour intervals kept in an
-order-maintenance list, whose labels are ints below 2^60 kept apart by local
-relabelling (O(log n) amortized items moved per insert): marked intervals
-nest or are disjoint, so the innermost marked interval containing a node's
-opening endpoint is its deepest marked ancestor-or-self.  A marked node
-answers for itself, so a query only ever starts at an unmarked node: the
-root, or a split node no dictionary string ends at.  Only those nodes and
-their ancestors carry an interval, and only the marked ones among them are
-entered in the index.  A leaf also has no child dict until it gets a child.
+one.  A marked node answers a nearest-marked-ancestor query for itself; an
+unmarked node keeps its deepest marked proper ancestor in `up` (None for the
+root and for a node without one).  Marking a node walks down the children
+dicts from it, stopping at marked nodes, and points `up` of every unmarked
+node it reaches at the newly marked node; a split node copies `up` from its
+parent.  A query is O(1), and over a parse of n symbols, sigma of them
+distinct, the walks cost O(n):
+
+- each node is marked once;
+- an unmarked node u is reached only when a node between u and its current
+  `up` is marked, so `up` moves to a strictly longer prefix of u's string,
+  at most |s(u)| times, and each visit scans deg(u) child entries;
+- map each (node, non-first child) pair to the leftmost leaf below that
+  child: the map is one-to-one, and an unmarked non-root node has at least
+  two children, so the sum of |s(u)| * deg(u) is at most twice the leaves'
+  total length;
+- leaves are distinct dictionary strings, of total length at most n + sigma
+  for LZD phrases and 2n + sigma for LZMW pairs;
+- a marked node's own children add at most 2 * node_count.
+
+So `ma_ops`, the child entries the walks examine, is at most
+2 * node_count + 6n.  Under a fingerprint collision an insert can replace a
+child in its parent's dict; the walk then no longer reaches that node, whose
+`up` may go stale.  It is still a marked proper ancestor by parent pointers,
+so a part is never longer than the carry.  A leaf also has no child dict
+until it gets a child.
 """
 
 from __future__ import annotations
 
-import random
 from types import MappingProxyType
 
 from .avlgrammar import AvlGrammar, Probe
@@ -33,189 +49,13 @@ def two_fattest(a: int, b: int) -> int:
     return b & ~((1 << i) - 1)
 
 
-# ---------------------------------------------------------------------------
-# order-maintenance list
-
-# CPython keeps ints in 30-bit digits: a label below 2^60 takes two of them
-_LABEL_BITS = 60
-
-
-class _OmItem:
-    __slots__ = ("label", "prev", "next")
-
-
-class OrderList:
-    """Doubly-linked list with O(1) order comparison via integer labels.
-
-    Labels live in [0, 2^60).  The sentinel `head` keeps label 0, and
-    `insert_after(head)` inserts a first item.  A midpoint insert
-    that finds no gap relabels evenly the smallest aligned label range of
-    2^i around the anchor holding at most (4/3)^i items, the new one
-    included (Bender, Cole, Demaine, Farach-Colton and Zito, ESA 2002): an
-    insert moves O(log n) items amortized.  Should no range up to the whole
-    universe be that sparse, the universe grows by a bit.  A relabel keeps
-    relative order, so structures that compare labels lazily stay
-    consistent.  `relabels` counts relabel passes and `relabelled` the items
-    they moved.
-    """
-
-    def __init__(self):
-        head = _OmItem()
-        head.label = 0
-        head.prev = head.next = head
-        self.head = head
-        self._bits = _LABEL_BITS
-        self.relabels = 0
-        self.relabelled = 0
-
-    def insert_after(self, anchor: _OmItem) -> _OmItem:
-        nxt = anchor.next
-        hi = 1 << self._bits if nxt is self.head else nxt.label
-        if hi - anchor.label < 2:
-            self._spread(anchor)
-            hi = 1 << self._bits if nxt is self.head else nxt.label
-        item = _OmItem()
-        item.label = anchor.label + (hi - anchor.label) // 2
-        item.prev = anchor
-        item.next = nxt
-        anchor.next = item
-        nxt.prev = item
-        return item
-
-    def _spread(self, anchor: _OmItem) -> None:
-        """Relabel evenly the smallest sparse aligned range around anchor."""
-        head = self.head
-        first = last = anchor
-        count = i = 1
-        while True:
-            i += 1
-            self._bits = max(self._bits, i)
-            lo = anchor.label >> i << i
-            hi = lo + (1 << i)
-            while first is not head and first.prev.label >= lo:
-                first = first.prev
-                count += 1
-            while last.next is not head and last.next.label < hi:
-                last = last.next
-                count += 1
-            if (count + 1) * 3 ** i <= 4 ** i:
-                break
-        # spacing >= 1.5^i >= 3, and the range's end stays free
-        spacing = (1 << i) // (count + 1)
-        self.relabels += 1
-        self.relabelled += count
-        item = first
-        for j in range(count):
-            item.label = lo + j * spacing
-            item = item.next
-
-
-# ---------------------------------------------------------------------------
-# nearest-marked-ancestor index
-
-class _TreapNode:
-    __slots__ = ("tnode", "prio", "left", "right", "max_close")
-
-    def __init__(self, tnode, prio):
-        self.tnode = tnode
-        self.prio = prio
-        self.left = None
-        self.right = None
-        self.max_close = tnode.close_item
-
-
-class MarkedAncestorIndex:
-    """Treap over marked Euler intervals, keyed by opening endpoint.
-
-    `nearest(v)` is v itself when v has a payload.  Otherwise it stabs v's
-    opening label: the entered interval with the largest opening label at or
-    before it whose closing label is at or after it.  For nested-or-disjoint
-    intervals that is the innermost container, i.e. the deepest marked
-    proper ancestor of v, provided every marked ancestor of an unmarked node
-    has been entered.  ZTrie gives an interval to every unmarked node and to
-    its ancestors, and enters each marked node that has one.
-    """
-
-    def __init__(self):
-        self._rng = random.Random(0)
-        self._root = None
-        self.ops = 0
-
-    def enter(self, tnode) -> None:
-        """Enter a marked node's interval, once; ZTrie enters a marked node
-        when it is marked or gets its interval, whichever comes last."""
-        self._root = self._insert(self._root, _TreapNode(tnode, self._rng.random()))
-
-    def _insert(self, t, node):
-        self.ops += 1
-        if t is None:
-            return node
-        if node.tnode.open_item.label < t.tnode.open_item.label:
-            t.left = self._insert(t.left, node)
-            if t.left.prio > t.prio:
-                t = self._rot_right(t)
-        else:
-            t.right = self._insert(t.right, node)
-            if t.right.prio > t.prio:
-                t = self._rot_left(t)
-        self._pull(t)
-        return t
-
-    @staticmethod
-    def _pull(t) -> None:
-        best = t.tnode.close_item
-        if t.left is not None and t.left.max_close.label > best.label:
-            best = t.left.max_close
-        if t.right is not None and t.right.max_close.label > best.label:
-            best = t.right.max_close
-        t.max_close = best
-
-    def _rot_right(self, t):
-        l = t.left
-        t.left = l.right
-        l.right = t
-        self._pull(t)
-        self._pull(l)
-        return l
-
-    def _rot_left(self, t):
-        r = t.right
-        t.right = r.left
-        r.left = t
-        self._pull(t)
-        self._pull(r)
-        return r
-
-    def nearest(self, tnode):
-        """Deepest marked ancestor-or-self of tnode, or None."""
-        if tnode.payload is not None:
-            return tnode
-        return self._stab(self._root, tnode.open_item.label)
-
-    def _stab(self, t, pos):
-        if t is None or t.max_close.label < pos:
-            return None
-        self.ops += 1
-        if t.tnode.open_item.label > pos:
-            return self._stab(t.left, pos)
-        got = self._stab(t.right, pos)
-        if got is not None:
-            return got
-        if t.tnode.close_item.label >= pos:
-            return t.tnode
-        return self._stab(t.left, pos)
-
-
-# ---------------------------------------------------------------------------
-# the trie
-
 # every leaf's children: read-only, so a stray write raises
 _NO_CHILDREN = MappingProxyType({})
 
 
 class _TrieNode:
     __slots__ = ("parent", "depth", "tree", "hash", "children", "payload",
-                 "open_item", "close_item")
+                 "up")
 
     def __init__(self, parent, depth, tree, hash_):
         self.parent = parent
@@ -224,8 +64,7 @@ class _TrieNode:
         self.hash = hash_  # of its string
         self.children = _NO_CHILDREN  # a dict once it has a child
         self.payload = None
-        self.open_item = None  # its Euler interval, once a query can
-        self.close_item = None  # start at it or below it
+        self.up = None  # while unmarked: its deepest marked proper ancestor
 
 
 class ZTrie:
@@ -241,15 +80,12 @@ class ZTrie:
     def __init__(self, g: AvlGrammar):
         self.g = g
         self._probe = Probe(g)  # one per trie, reused by every insert
-        self.om = OrderList()
-        self.ma = MarkedAncestorIndex()
         self.table: dict = {}
         self.ops = 0
+        self.ma_ops = 0  # child entries examined by marking walks
         self.max_depth = 0  # no table key is longer
         root = _TrieNode(None, 0, None, 0)
         root.children = {}
-        root.open_item = self.om.insert_after(self.om.head)
-        root.close_item = self.om.insert_after(root.open_item)
         self.root = root
         self.node_count = 1  # the root included
 
@@ -257,22 +93,6 @@ class ZTrie:
         f = two_fattest(node.parent.depth, node.depth)
         h = self.g.prefix_fp(node.tree, f) if f < node.depth else node.hash
         self.table[(f, h)] = node
-
-    def _join(self, node: _TrieNode) -> None:
-        """Give node, and each ancestor without one, an Euler interval,
-        top-down, each the last one inside its parent's, and enter the
-        marked ones.  The nodes with intervals are closed upwards, so none
-        lies below a node that joins, and each node joins once."""
-        path = []
-        while node.open_item is None:
-            path.append(node)
-            node = node.parent
-        om = self.om
-        for node in reversed(path):
-            node.open_item = om.insert_after(node.parent.close_item.prev)
-            node.close_item = om.insert_after(node.open_item)
-            if node.payload is not None:
-                self.ma.enter(node)
 
     def _new_leaf(self, parent, tree) -> _TrieNode:
         """New bare leaf under parent spelling the whole tree; a leaf
@@ -314,17 +134,25 @@ class ZTrie:
         if m < v.depth:
             v = self._split(v, m)
         if m < probe.length:
-            if v.payload is None:  # v stays unmarked: a query can start here
-                self._join(v)
             leaf = self._new_leaf(v, tree)
             v.children[probe.symbol_at(m)] = leaf
             self._register(leaf)
             v = leaf
         if v.payload is None:
-            v.payload = payload
-            if v.open_item is not None:  # else it is entered when it joins
-                self.ma.enter(v)
+            self._mark(v, payload)
         return v
+
+    def _mark(self, node: _TrieNode, payload) -> None:
+        """Give node its payload and make it the `up` of every unmarked node
+        below it that no marked node separates from it."""
+        node.payload = payload
+        stack = [node]
+        while stack:
+            for c in stack.pop().children.values():
+                self.ma_ops += 1
+                if c.payload is None:
+                    c.up = node
+                    stack.append(c)
 
     def _split(self, c: _TrieNode, mid_depth: int) -> _TrieNode:
         """Split the edge into c at depth mid_depth, returning the new middle
@@ -335,10 +163,7 @@ class ZTrie:
         mid = _TrieNode(v, mid_depth, c.tree,
                         self.g.prefix_fp(c.tree, mid_depth))
         mid.children = {}
-        # wrap c's interval; without one, mid joins if it stays unmarked
-        if c.open_item is not None:
-            mid.open_item = self.om.insert_after(c.open_item.prev)
-            mid.close_item = self.om.insert_after(c.close_item)
+        mid.up = v if v.payload is not None else v.up
         self.node_count += 1
         # c's entry in v.children, found by identity; an insert under a
         # fingerprint collision may have replaced it, and then none changes
@@ -415,4 +240,4 @@ class ZTrie:
         """Deepest marked node on the path to the point at depth m on the
         root-v path (v from locate with its lcp m)."""
         base = v if m == v.depth else v.parent
-        return self.ma.nearest(base)
+        return base if base.payload is not None else base.up

@@ -152,6 +152,25 @@ def test_verify_non_canonical_header_exits_2(tmp_path, capsys):
             assert "bad header" in capsys.readouterr().err
 
 
+def test_non_canonical_text_exits_2(tmp_path, capsys):
+    # a text file number not written in canonical form is a malformed file
+    good = tmp_path / "good.parsing"
+    good.write_bytes(b"LZD 1 2\nL:1 L:2\n")
+    path = tmp_path / "t.sym"
+    for data in (b"#sigma 1_0\n1 2\n", b"#sigma 04\n1 2\n",
+                 b"#sigma 4\n1 02\n"):
+        path.write_bytes(data)
+        assert main(["parse", "--scheme", "lzd", "--algo", "fast",
+                     "--in", str(path)]) == 2
+        assert "bad integer token" in capsys.readouterr().err
+        assert main(["verify", "--scheme", "lzd", "--in", str(path),
+                     "--parsing", str(good)]) == 2
+        assert "bad integer token" in capsys.readouterr().err
+    path.write_bytes(b"#sigma 4\n1 2\n")
+    assert main(["verify", "--scheme", "lzd", "--in", str(path),
+                 "--parsing", str(good), "--strict"]) == 0
+
+
 def test_gen_raw_over_256_symbols_exits_2(tmp_path, capsys):
     out = tmp_path / "x.raw"
     assert main(["gen", "--family", "lzd-slow", "--k", "16", "--out", str(out),

@@ -207,10 +207,10 @@ def test_slow_family_k16_agreement():
 # structures change; the other five fields are fixed by the parsing and the
 # block reader.
 PINNED_FAST_STATS = {
-    "lzd-slow": (13123, 67, 885, 818, 20316, 4970, 0, 654, 1066),
-    "lzmw-slow": (7870, 47, 694, 647, 15126, 3549, 0, 914, 1105),
-    "random-lzd": (1200, 10, 492, 482, 2888, 1631, 555, 291, 261),
-    "random-lzmw": (1200, 10, 448, 438, 4898, 1519, 912, 541, 463),
+    "lzd-slow": (13123, 67, 885, 818, 20316, 4970, 72, 654, 1066),
+    "lzmw-slow": (7870, 47, 694, 647, 15126, 3549, 48, 914, 1105),
+    "random-lzd": (1200, 10, 492, 482, 2888, 1631, 32, 291, 261),
+    "random-lzmw": (1200, 10, 448, 438, 4898, 1519, 43, 541, 463),
 }
 
 
@@ -225,6 +225,23 @@ def test_fast_stats_pinned():
     for name, (text, scheme) in runs.items():
         stats = parse_fast(text, scheme, seed=0).stats
         assert dataclasses.astuple(stats) == PINNED_FAST_STATS[name], name
+
+
+def test_marking_walks_stay_linear():
+    # each node's up moves only to a longer prefix of its string, and the
+    # leaves are distinct dictionary strings, so over a parse the marking
+    # walks examine at most 2 trie_nodes + 6n child entries
+    runs = []
+    for name in ("lzd-slow", "lzmw-slow"):
+        gen, scheme, _ = FAMILIES[name]
+        runs += [(gen(k), scheme) for k in (8, 16)]
+    rng = random.Random(2424)
+    for _ in range(20):
+        text = random_text(rng, rng.randrange(50, 2000), rng.choice([2, 4, 16]))
+        runs += [(text, scheme) for scheme in Scheme]
+    for text, scheme in runs:
+        stats = parse_fast(text, scheme).stats
+        assert stats.ma_ops <= 2 * stats.trie_nodes + 6 * stats.symbols_read
 
 
 def collision_corpus(rng, texts):
@@ -303,7 +320,7 @@ def test_stats_walk_stays_under_the_parse_peak():
 
 
 def test_engine_is_freed_when_parse_fast_returns():
-    # stats() cuts the trie's and the order list's reference cycles, so only
+    # stats() cuts the trie's reference cycles (parent and up), so only
     # the result outlives parse_fast, even with the cyclic collector off
     gen, scheme, _ = FAMILIES["lzmw-slow"]
     text = gen(16)
@@ -321,7 +338,7 @@ def test_engine_is_freed_when_parse_fast_returns():
 
 
 def test_rejected_attempt_is_freed_before_the_next():
-    # stats() frees a rejected engine's trie and order list, so a retry
+    # stats() frees a rejected engine's trie, so a retry
     # peaks like a single parse, even with the cyclic collector off
     gen, scheme, _ = FAMILIES["lzd-slow"]
     syms = gen(8).symbols

@@ -1,5 +1,7 @@
 """Text and parsing file formats: round trips and rejection of bad input."""
 
+import re
+
 import pytest
 
 from lzgram import Literal, Parsing, Scheme, make_text, parse_reference
@@ -103,6 +105,22 @@ def test_text_tokens():
     assert t.symbols[0] is t.symbols[1] is t.symbols[3]
     with pytest.raises(FormatError, match="'z'"):  # the first bad token
         load_text(b"#sigma 4\n1 z y z y")
+
+
+@pytest.mark.parametrize("header, body, bad", [
+    ("1_0", "1 2", "1_0"), ("04", "1 2", "04"), ("+4", "1 2", "+4"),
+    ("4", "0003", "0003"), ("4", "1 -0", "-0"), ("4", "1 +2 2_0", "+2"),
+    ("4", "3 1_0 01", "1_0"),
+    pytest.param("1" * 5000, "1", "1" * 5000, id="more-digits-than-int-reads"),
+])
+def test_non_canonical_text_numbers_rejected(header, body, bad):
+    # the bound and the symbols follow the parsing files' rule for numbers,
+    # so every text that loads dumps back to its own bytes; the first bad
+    # number is named
+    with pytest.raises(FormatError, match=re.escape(repr(bad))):
+        load_text(f"#sigma {header}\n{body}\n".encode())
+    for canonical in (b"#sigma 10\n1 2\n", b"#sigma 4\n0 3\n"):
+        assert dump_text(load_text(canonical)) == canonical
 
 
 def test_parsing_round_trip():

@@ -1,6 +1,5 @@
-"""z-fast trie stack: fat binary search, order maintenance, marked ancestors."""
+"""z-fast trie: fat binary search, validated search, marked-ancestor pointers."""
 
-import math
 import random
 from types import MappingProxyType
 
@@ -9,7 +8,8 @@ import pytest
 from lzgram import (AvlGrammar, HashConfig, Scheme, parse_fast,
                     parse_reference, ztrie)
 from lzgram.adversarial import FAMILIES
-from lzgram.ztrie import MarkedAncestorIndex, OrderList, ZTrie, two_fattest
+from lzgram.hashing import MERSENNE61
+from lzgram.ztrie import ZTrie, two_fattest
 
 from support import (build_by_copies, copy_of, engine_parse, probe_on,
                      random_text, to_symbols, tree_of)
@@ -81,98 +81,6 @@ def test_two_fattest_brute_force():
             assert zeros(f) == max(zeros(x) for x in range(a + 1, b + 1))
 
 
-# -- order maintenance ------------------------------------------------------
-
-
-def test_order_list_preserves_insert_order():
-    om = OrderList()
-    first = om.insert_after(om.head)
-    items = [first]
-    for _ in range(50):
-        items.append(om.insert_after(items[-1]))
-    labels = [it.label for it in items]
-    assert labels == sorted(labels)
-    assert len(set(labels)) == len(labels)
-
-
-def test_order_list_relabels_under_point_pressure():
-    om = OrderList()
-    anchor = om.insert_after(om.head)
-    squeezed = []
-    for _ in range(5000):
-        squeezed.append(om.insert_after(anchor))
-    # Every insert_after(anchor) lands directly after the anchor, so the
-    # list order is anchor, then squeezed in reverse insertion order.
-    assert om.relabels >= 1
-    labels = [anchor.label] + [it.label for it in reversed(squeezed)]
-    assert labels == sorted(labels)
-    assert len(set(labels)) == len(labels)
-
-
-def list_labels(om):
-    out, item = [], om.head.next
-    while item is not om.head:
-        out.append(item.label)
-        item = item.next
-    return out
-
-
-class EulerNode:
-    """Open/close items placed as ZTrie._new_leaf and _split place them."""
-
-    def __init__(self, om, parent=None, lower=None):
-        if lower is not None:  # the middle node of lower's edge
-            self.open = om.insert_after(lower.open.prev)
-            self.close = om.insert_after(lower.close)
-        elif parent is not None:  # a new last child
-            self.open = om.insert_after(parent.close.prev)
-            self.close = om.insert_after(self.open)
-        else:
-            self.open = om.insert_after(om.head)
-            self.close = om.insert_after(self.open)
-
-
-def euler_list(rng, shape, inserts):
-    om = OrderList()
-    root = EulerNode(om)
-    nodes = [root]
-    for _ in range(inserts):
-        if shape == "deep":  # every node a child of the last: nested closes
-            nodes.append(EulerNode(om, parent=nodes[-1]))
-        elif shape == "wide":  # every node a child of the root
-            nodes.append(EulerNode(om, parent=root))
-        elif len(nodes) > 1 and rng.random() < 0.3:  # the root has no edge
-            nodes.append(EulerNode(om, lower=rng.choice(nodes[1:])))
-        else:
-            nodes.append(EulerNode(om, parent=rng.choice(nodes)))
-    return om, nodes
-
-
-# relabelled items per insert over n log2 n, measured at 0.59-0.67 on the
-# lists below and then frozen
-RELABEL_C = 0.75
-
-
-def test_order_list_labels_fit_a_word_and_relabels_stay_local():
-    om = OrderList()
-    anchor = om.insert_after(om.head)
-    squeezed = [om.insert_after(anchor) for _ in range(20000)]
-    cases = [(om, [anchor] + squeezed[::-1])]
-    rng = random.Random(62)
-    for shape in ("deep", "wide", "mixed"):
-        om, nodes = euler_list(rng, shape, 10000)
-        assert all(v.open.label < v.close.label for v in nodes)
-        cases.append((om, None))
-    for om, expected in cases:
-        labels = list_labels(om)
-        n = len(labels)
-        assert labels == sorted(labels) and len(set(labels)) == n
-        assert all(label.bit_length() <= 62 for label in labels)
-        if expected is not None:
-            assert labels == [it.label for it in expected]
-        assert om.relabelled <= RELABEL_C * n * math.log2(n)
-
-
 # -- marked-ancestor index --------------------------------------------------
 
 
@@ -180,6 +88,16 @@ def walk_up_marked(node):
     while node is not None and node.payload is None:
         node = node.parent
     return node
+
+
+def reachable(trie):
+    """The nodes a walk down the children maps from the root reaches."""
+    nodes, stack = [], [trie.root]
+    while stack:
+        v = stack.pop()
+        nodes.append(v)
+        stack.extend(v.children.values())
+    return nodes
 
 
 def test_marked_ancestor_matches_walk_up():
@@ -195,73 +113,8 @@ def test_marked_ancestor_matches_walk_up():
             end = rng.randrange(start + 1, min(n, start + 12) + 1)
             intervals.append((start, end))
         _, trie = build_trie(cfg, content, intervals)
-        nodes = []
-        stack = [trie.root]
-        while stack:
-            v = stack.pop()
-            nodes.append(v)
-            stack.extend(v.children.values())
-        for v in nodes:
-            assert trie.ma.nearest(v) is walk_up_marked(v)
-
-
-def test_index_and_parses_under_constant_relabels(monkeypatch):
-    # a 4-bit universe makes nearly every insert relabel and grow it; the
-    # treap keyed by open labels must keep answering like a walk up.  At
-    # least 15 strings per trie make enough of them branch off at points no
-    # string ends at for every trie to relabel
-    monkeypatch.setattr(ztrie, "_LABEL_BITS", 4)
-    rng = random.Random(16)
-    for _ in range(20):
-        n = rng.randrange(20, 120)
-        content = [rng.randrange(rng.choice([2, 3])) for _ in range(n)]
-        cfg = HashConfig.from_seed(rng.randrange(1 << 30))
-        g = AvlGrammar(cfg)
-        trie = ZTrie(g)
-        for idx in range(rng.randrange(15, 40)):
-            start = rng.randrange(n)
-            end = rng.randrange(start + 1, min(n, start + 12) + 1)
-            trie.insert(tree_of(g, content[start:end]), ("dict", idx))
-            nodes, stack = [], [trie.root]
-            while stack:
-                v = stack.pop()
-                nodes.append(v)
-                stack.extend(v.children.values())
-            for v in nodes:
-                assert trie.ma.nearest(v) is walk_up_marked(v)
-        assert trie.om.relabels > 0 and trie.om._bits > 4
-        labels = list_labels(trie.om)
-        assert labels == sorted(labels) and len(set(labels)) == len(labels)
-    for _ in range(30):
-        text = random_text(rng, rng.randrange(20, 400), rng.choice([2, 3, 16]))
-        for scheme in Scheme:
-            assert (parse_fast(text, scheme, seed=rng.randrange(1 << 30)).parsing
-                    == parse_reference(text, scheme))
-
-
-def test_marked_ancestor_direct():
-    ma = MarkedAncestorIndex()
-
-    class Node:
-        def __init__(self, parent, om, after):
-            self.parent = parent
-            self.payload = None
-            self.open_item = om.insert_after(after)
-            self.close_item = om.insert_after(self.open_item)
-
-    om = OrderList()
-    sentinel = om.insert_after(om.head)
-    root = Node(None, om, sentinel)
-    a = Node(root, om, root.open_item)
-    b = Node(a, om, a.open_item)
-    assert ma.nearest(b) is None
-    root.payload = "root"
-    ma.enter(root)
-    assert ma.nearest(b) is root
-    a.payload = "a"
-    ma.enter(a)
-    assert ma.nearest(b) is a
-    assert ma.nearest(root) is root
+        for v in reachable(trie):
+            assert trie.nearest_marked(v, v.depth) is walk_up_marked(v)
 
 
 # -- trie searches ----------------------------------------------------------
@@ -587,21 +440,9 @@ def test_locate_resumes_from_a_certified_prefix():
                 assert trie.locate(probe, at=(v, m)) == trie.locate(probe)
 
 
-def entered_nodes(ma):
-    out, stack = [], [ma._root]
-    while stack:
-        t = stack.pop()
-        if t is not None:
-            out.append(t.tnode)
-            stack += (t.left, t.right)
-    return out
-
-
 def test_index_and_search_bound_after_every_insert():
-    # the index holds exactly the marked nodes with intervals (a marked node
-    # answers for itself), the nodes with intervals are closed upwards, and
-    # no search probes a length beyond the deepest node, where every table
-    # lookup must miss
+    # every node answers like a walk up, and no search probes a length
+    # beyond the deepest node, where every table lookup must miss
     rng = random.Random(31415)
     for _ in range(25):
         sigma = rng.choice([2, 3, 4])
@@ -616,20 +457,9 @@ def test_index_and_search_bound_after_every_insert():
             end = rng.randrange(start + 1, min(n, start + 16) + 1)
             trie.insert(tree_of(g, content[start:end]), ("dict", idx))
             strings.append(tuple(content[start:end]))
-            nodes, stack = [], [trie.root]
-            while stack:
-                v = stack.pop()
-                nodes.append(v)
-                stack.extend(v.children.values())
+            nodes = reachable(trie)
             for v in nodes:
-                assert trie.ma.nearest(v) is walk_up_marked(v)
-            entered = entered_nodes(trie.ma)
-            assert len({id(v) for v in entered}) == len(entered)
-            assert ({id(v) for v in entered}
-                    == {id(v) for v in nodes
-                        if v.payload is not None and v.open_item is not None})
-            assert all(v.parent.open_item is not None for v in nodes
-                       if v.open_item is not None and v.parent is not None)
+                assert trie.nearest_marked(v, v.depth) is walk_up_marked(v)
             assert trie.max_depth == max(v.depth for v in nodes)
             for _ in range(4):
                 a = rng.randrange(n)
@@ -688,83 +518,58 @@ def engine_corpus():
             yield syms, scheme, cfg
 
 
-def test_only_internal_nodes_have_intervals(monkeypatch):
-    # a query starts only at an unmarked node, so a node has an Euler
-    # interval iff it is the root, was left unmarked by the insert that made
-    # it, or is an ancestor of one; the index holds exactly the marked ones
-    # among them.  Leaves are marked and so have none, and they share one
-    # read-only empty child map.  The intervals nest as the nodes do, and
-    # the index answers like a walk up.  Every node made is checked: under a
-    # collision an insert can replace a child in its parent's map, and no
-    # walk from the root reaches it then
-    made, left_unmarked = [], []
+def test_up_pointers_answer_like_a_walk_up(monkeypatch):
+    # every node reachable from the root answers like a walk up parent
+    # pointers.  Under a collision an insert can replace a child in its
+    # parent's map, and no marking walk reaches that node then; at the
+    # default modulus there is none, and every node made answers so.  A
+    # node keeps one pointer for its queries, up, and leaves share one
+    # read-only empty child map
+    assert ztrie._TrieNode.__slots__ == ("parent", "depth", "tree", "hash",
+                                         "children", "payload", "up")
+    made = []
 
     class Recorded(ztrie._TrieNode):
         def __init__(self, *args):
             super().__init__(*args)
             made.append(self)
 
-    insert = ZTrie.insert
-
-    def recorded_insert(self, *args, **kwargs):
-        before = len(made)
-        v = insert(self, *args, **kwargs)
-        left_unmarked.extend(u for u in made[before:] if u.payload is None)
-        return v
-
     monkeypatch.setattr(ztrie, "_TrieNode", Recorded)
-    monkeypatch.setattr(ZTrie, "insert", recorded_insert)
     for syms, scheme, cfg in engine_corpus():
         made.clear()
-        left_unmarked.clear()
         eng, _ = engine_parse(syms, scheme, cfg)
         trie = eng.trie
-        reach = {}
-        for v in [trie.root] + left_unmarked:
-            while v is not None and id(v) not in reach:
-                reach[id(v)] = v
-                v = v.parent
-        assert {id(v) for v in made if v.open_item is not None} == reach.keys()
-        assert all(v.open_item is not None for v in made if v.payload is None)
-        # the order list is an Euler tour of the nodes with intervals
-        ends = {id(v.open_item): v for v in reach.values()}
-        stack, item = [], trie.om.head.next
-        while item is not trie.om.head:
-            assert item.prev.label < item.label
-            v = ends.get(id(item))
-            if v is not None:
-                assert v.parent is (stack[-1] if stack else None)
-                stack.append(v)
-            else:
-                assert item is stack.pop().close_item
-            item = item.next
-        assert not stack
-        assert len(list_labels(trie.om)) == 2 * len(reach)
-        entered = entered_nodes(trie.ma)
-        assert len({id(v) for v in entered}) == len(entered)
-        assert ({id(v) for v in entered}
-                == {i for i, v in reach.items() if v.payload is not None})
+        nodes = reachable(trie)
+        if cfg.p == MERSENNE61:
+            assert len(nodes) == len(made)
+            nodes = made
+        for v in nodes:
+            assert trie.nearest_marked(v, v.depth) is walk_up_marked(v)
         for v in made:
             if v.children:
                 assert type(v.children) is dict
             else:
-                assert v.open_item is None and v.close_item is None
                 assert type(v.children) is MappingProxyType
                 with pytest.raises(TypeError):
                     v.children[0] = v
-            assert trie.ma.nearest(v) is walk_up_marked(v)
 
 
-@pytest.mark.parametrize("name", ["lzd-slow", "lzmw-slow"])
-def test_slow_families_index_only_the_root(name):
-    # every split node on the slow families ends a dictionary string, so
-    # the root is the one node a query starts at: it alone has an interval,
-    # nothing is entered and the index does no work
-    gen, scheme, _ = FAMILIES[name]
-    for k in (8, 16):
-        eng, _ = engine_parse(gen(k).symbols, scheme, HashConfig.from_seed(0))
-        trie = eng.trie
-        assert trie.ma._root is None
-        assert list_labels(trie.om) == [trie.root.open_item.label,
-                                        trie.root.close_item.label]
-        assert eng.stats().ma_ops == 0
+def test_marking_walks_top_down_chain():
+    # strings a^i b hang a chain of unmarked split nodes a^i; marking a^i
+    # top-down walks the whole chain below each time, which comes close to
+    # the bound: each up moves to a longer prefix of its node's string, and
+    # the leaves are distinct strings
+    a, b, chain = 0, 1, 40
+    g = AvlGrammar(HashConfig.from_seed(7))
+    trie = ZTrie(g)
+    strings = [[a] * i + [b] for i in range(1, chain + 1)]
+    strings += [[a] * i for i in range(1, chain + 1)]
+    for idx, s in enumerate(strings):
+        trie.insert(tree_of(g, s), ("dict", idx))
+        nodes = reachable(trie)
+        for v in nodes:
+            assert trie.nearest_marked(v, v.depth) is walk_up_marked(v)
+        leaves = sum(v.depth for v in nodes if not v.children)
+        assert trie.ma_ops <= 2 * trie.node_count + 2 * leaves
+    # a^i's walk scans the two children of each a^j, j > i
+    assert trie.ma_ops >= chain * (chain - 1)
