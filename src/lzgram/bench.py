@@ -152,4 +152,6 @@ def fit_csv(lines, x_col: str, y_col: str) -> ExponentFit:
         pts = [(float(r[x_col]), float(r[y_col])) for r in rows]
     except KeyError as e:
         raise ValueError(f"no such column {e.args[0]!r}") from None
+    if not all(math.isfinite(x) and math.isfinite(y) for x, y in pts):
+        raise ValueError(f"non-finite value in column {x_col!r} or {y_col!r}")
     return fit_exponent(pts)

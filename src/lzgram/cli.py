@@ -138,6 +138,8 @@ def cmd_fit(args) -> int:
             lines = f.readlines()
     except OSError as e:
         raise CliError(f"cannot read {args.csv}: {e}", _RUN_ERROR) from None
+    except UnicodeDecodeError as e:
+        raise CliError(f"malformed CSV {args.csv}: {e}", _USAGE_ERROR) from None
     try:
         fit = fit_csv(lines, args.x, args.y)
     except ValueError as e:

@@ -55,9 +55,9 @@ _NO_CHILDREN = MappingProxyType({})
 
 class _TrieNode:
     __slots__ = ("parent", "depth", "tree", "hash", "children", "payload",
-                 "up")
+                 "up", "first")
 
-    def __init__(self, parent, depth, tree, hash_):
+    def __init__(self, parent, depth, tree, hash_, first):
         self.parent = parent
         self.depth = depth
         self.tree = tree  # its string is tree[0:depth) (the root has none)
@@ -65,16 +65,19 @@ class _TrieNode:
         self.children = _NO_CHILDREN  # a dict once it has a child
         self.payload = None
         self.up = None  # while unmarked: its deepest marked proper ancestor
+        self.first = first  # its string's first symbol (None for the root)
 
 
 class ZTrie:
     """Compacted trie over strings spelled by prefixes of grammar trees.
 
-    Every non-root node owns one hash-table key: the fingerprint of its
-    string's prefix at the two-fattest length of its depth span.  Edge splits
-    migrate keys so the mapping stays exact (up to fingerprint collisions).
-    Every node also keeps the hash of its whole string, which an LCP against
-    it compares first.
+    Every non-root node owns one hash-table key: the fingerprint h of its
+    string's prefix at the two-fattest length f of its depth span, packed as
+    the int f << 64 | h (h < p < 2^64, so the packing is one-to-one).  Edge
+    splits migrate keys so the mapping stays exact (up to fingerprint
+    collisions).  Every node also keeps the hash of its whole string, which
+    an LCP against it compares first.  `reach` maps a symbol to the depth of
+    the deepest node whose string starts with it, which bounds a search.
     """
 
     def __init__(self, g: AvlGrammar):
@@ -83,8 +86,8 @@ class ZTrie:
         self.table: dict = {}
         self.ops = 0
         self.ma_ops = 0  # child entries examined by marking walks
-        self.max_depth = 0  # no table key is longer
-        root = _TrieNode(None, 0, None, 0)
+        self.reach: dict = {}  # first symbol -> deepest string's length
+        root = _TrieNode(None, 0, None, 0, None)
         root.children = {}
         self.root = root
         self.node_count = 1  # the root included
@@ -92,16 +95,19 @@ class ZTrie:
     def _register(self, node: _TrieNode) -> None:
         f = two_fattest(node.parent.depth, node.depth)
         h = self.g.prefix_fp(node.tree, f) if f < node.depth else node.hash
-        self.table[(f, h)] = node
+        self.table[f << 64 | h] = node
 
-    def _new_leaf(self, parent, tree) -> _TrieNode:
-        """New bare leaf under parent spelling the whole tree; a leaf
-        parent gets its child dict."""
+    def _new_leaf(self, parent, key, tree) -> _TrieNode:
+        """New bare leaf spelling the whole tree, the child of parent under
+        key; a leaf parent gets its child dict."""
+        first = key if parent is self.root else parent.first
+        node = _TrieNode(parent, tree.length, tree, tree.hash, first)
         if parent.children is _NO_CHILDREN:
             parent.children = {}
-        if tree.length > self.max_depth:
-            self.max_depth = tree.length
-        node = _TrieNode(parent, tree.length, tree, tree.hash)
+        parent.children[key] = node
+        if node.depth > self.reach.get(first, 0):
+            self.reach[first] = node.depth
+        self._register(node)
         self.node_count += 1
         return node
 
@@ -134,10 +140,7 @@ class ZTrie:
         if m < v.depth:
             v = self._split(v, m)
         if m < probe.length:
-            leaf = self._new_leaf(v, tree)
-            v.children[probe.symbol_at(m)] = leaf
-            self._register(leaf)
-            v = leaf
+            v = self._new_leaf(v, probe.symbol_at(m), tree)
         if v.payload is None:
             self._mark(v, payload)
         return v
@@ -161,7 +164,7 @@ class ZTrie:
         # the split point's own string, not the inserted one: they differ
         # when a fingerprint collision led the search here
         mid = _TrieNode(v, mid_depth, c.tree,
-                        self.g.prefix_fp(c.tree, mid_depth))
+                        self.g.prefix_fp(c.tree, mid_depth), c.first)
         mid.children = {}
         mid.up = v if v.payload is not None else v.up
         self.node_count += 1
@@ -188,14 +191,18 @@ class ZTrie:
 
         The result is only w.h.p. the right node (and may be one node too
         high); callers must validate with fingerprint LCPs, as locate() does.
-        Lengths beyond the deepest node are not probed: every one would miss.
+        Lengths beyond the deepest string that starts with the probe's first
+        symbol are not probed: every one would miss.  So a probe whose first
+        symbol starts no string probes nothing and gets the root.
         """
-        a, b = 0, min(probe.length, self.max_depth)
+        a = 0  # an empty probe reads no symbol and searches nothing
+        b = probe.length and min(probe.length,
+                                 self.reach.get(probe.symbol_at(0), 0))
         v = self.root
         while a < b:
             f = two_fattest(a, b)
             self.ops += 1
-            u = self.table.get((f, probe.fp(f)))
+            u = self.table.get(f << 64 | probe.fp(f))
             if u is None:
                 b = f - 1
             else:

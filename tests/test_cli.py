@@ -213,6 +213,34 @@ def test_fit_missing_csv(tmp_path):
     assert main(["fit", "--csv", str(tmp_path / "no.csv"), "--y", "n"]) == 1
 
 
+def write_fit_csv(path, rows):
+    """A bench CSV of (n, z) rows; the other columns are constant."""
+    body = [f"lzd-slow,lzd,naive,{k},{n},{z},1,1,1,0"
+            for k, (n, z) in enumerate(rows)]
+    path.write_text("\n".join([CSV_HEADER] + body) + "\n")
+    return str(path)
+
+
+def test_fit_undecodable_csv_is_malformed_input(tmp_path, capsys):
+    csv = tmp_path / "bad.csv"
+    write_fit_csv(csv, [(10, 3), (20, 5), (40, 9)])
+    csv.write_bytes(csv.read_bytes() + b"\xff\n")
+    assert main(["fit", "--csv", str(csv), "--y", "z"]) == 2
+    assert "malformed CSV" in capsys.readouterr().err
+
+
+def test_fit_nan_value_is_malformed_input(tmp_path, capsys):
+    csv = write_fit_csv(tmp_path / "nan.csv", [(10, 3), (20, "nan"), (40, 9)])
+    assert main(["fit", "--csv", csv, "--y", "z"]) == 2
+    assert "slope" not in capsys.readouterr().out
+
+
+def test_fit_infinite_value_is_malformed_input(tmp_path, capsys):
+    csv = write_fit_csv(tmp_path / "inf.csv", [(10, 3), ("inf", 5), (40, 9)])
+    assert main(["fit", "--csv", csv, "--y", "z"]) == 2
+    assert "slope" not in capsys.readouterr().out
+
+
 def test_gen_deterministic(tmp_path):
     a = tmp_path / "a.sym"
     b = tmp_path / "b.sym"

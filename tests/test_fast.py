@@ -207,10 +207,10 @@ def test_slow_family_k16_agreement():
 # structures change; the other five fields are fixed by the parsing and the
 # block reader.
 PINNED_FAST_STATS = {
-    "lzd-slow": (13123, 67, 885, 818, 20316, 4970, 72, 654, 1066),
-    "lzmw-slow": (7870, 47, 694, 647, 15126, 3549, 48, 914, 1105),
-    "random-lzd": (1200, 10, 492, 482, 2888, 1631, 32, 291, 261),
-    "random-lzmw": (1200, 10, 448, 438, 4898, 1519, 43, 541, 463),
+    "lzd-slow": (13123, 67, 885, 818, 18370, 2084, 72, 654, 1066),
+    "lzmw-slow": (7870, 47, 694, 647, 13070, 1410, 48, 914, 1105),
+    "random-lzd": (1200, 10, 492, 482, 2888, 1526, 32, 291, 261),
+    "random-lzmw": (1200, 10, 448, 438, 4905, 1477, 43, 541, 463),
 }
 
 
@@ -355,7 +355,7 @@ def test_rejected_attempt_is_freed_before_the_next():
     gc.disable()
     try:
         res, retry_peak = peak(lambda: parse_las_vegas_detailed(
-            lambda: syms, scheme, seed=0, p=100003))
+            lambda: syms, scheme, seed=2, p=100043))
         _, single_peak = peak(lambda: parse_fast(syms, scheme))
     finally:
         if enabled:

@@ -189,8 +189,7 @@ def test_split_of_a_replaced_child_leaves_its_siblings():
     root = trie.root
     c = root.children[0]
     sibling = root.children[2]
-    replacing = trie._new_leaf(root, tree_of(g, [0, 0]))
-    root.children[0] = replacing
+    replacing = trie._new_leaf(root, 0, tree_of(g, [0, 0]))
     trie._split(c, 1)
     assert root.children == {2: sibling, 0: replacing}
 
@@ -275,7 +274,7 @@ def test_trie_invariants_after_random_inserts():
                 # gets the payload or a second child in the same insert
                 assert v.payload is not None or len(v.children) >= 2
                 f = two_fattest(v.parent.depth, v.depth)
-                key = (f, g.prefix_fp(v.tree, f))
+                key = f << 64 | g.prefix_fp(v.tree, f)
                 assert trie.table[key] is v
             for sym, c in v.children.items():
                 assert c.parent is v
@@ -298,6 +297,9 @@ class RecordingProbe:
     def fp(self, k):
         self.asked.append(k)
         return self.probe.fp(k)
+
+    def symbol_at(self, i):
+        return self.probe.symbol_at(i)
 
 
 def test_lcp_lower_bound_matches_oracle():
@@ -441,8 +443,9 @@ def test_locate_resumes_from_a_certified_prefix():
 
 
 def test_index_and_search_bound_after_every_insert():
-    # every node answers like a walk up, and no search probes a length
-    # beyond the deepest node, where every table lookup must miss
+    # every node answers like a walk up, reach holds the deepest string per
+    # first symbol, and no search probes a length beyond the deepest string
+    # that starts with the probe's first symbol, where every lookup must miss
     rng = random.Random(31415)
     for _ in range(25):
         sigma = rng.choice([2, 3, 4])
@@ -458,23 +461,69 @@ def test_index_and_search_bound_after_every_insert():
             trie.insert(tree_of(g, content[start:end]), ("dict", idx))
             strings.append(tuple(content[start:end]))
             nodes = reachable(trie)
+            deepest = {}
             for v in nodes:
                 assert trie.nearest_marked(v, v.depth) is walk_up_marked(v)
-            assert trie.max_depth == max(v.depth for v in nodes)
+                if v is not trie.root:
+                    assert v.first == string(v)[0]
+                    deepest[v.first] = max(deepest.get(v.first, 0), v.depth)
+            assert trie.reach == deepest
+            longest = max(deepest.values())
             for _ in range(4):
                 a = rng.randrange(n)
-                q = content[a:a + rng.randrange(trie.max_depth + 1)]
-                q += [rng.randrange(sigma)
-                      for _ in range(trie.max_depth + 1 - len(q) + rng.randrange(4))]
+                q = content[a:a + rng.randrange(longest + 1)]
+                q += [rng.randrange(sigma + 1)
+                      for _ in range(longest + 1 - len(q) + rng.randrange(4))]
                 probe = RecordingProbe(ListProbe(cfg, q))
                 trie.prefix_search(probe)
-                assert max(probe.asked, default=0) <= trie.max_depth
+                assert max(probe.asked, default=0) <= trie.reach.get(q[0], 0)
                 node, m = trie.locate(ListProbe(cfg, q))
                 assert m == max(lcp_len(q, s) for s in strings)
                 best = max((len(s) for s in strings if s == tuple(q[:len(s)])),
                            default=None)
                 w = trie.nearest_marked(node, m)
                 assert (w.depth if w is not None else None) == best
+
+
+def test_search_for_an_unknown_first_symbol_probes_nothing():
+    # no trie string starts with the probe's first symbol, so every length
+    # would miss: the search makes no table probe and gets the root
+    cfg = HashConfig.from_seed(8)
+    g, trie = build_trie(cfg, [0, 1, 1, 0, 1, 0, 0, 1], [(0, 5), (2, 8), (4, 6)])
+    for q in ([2], [2, 0, 1, 1, 0], [3, 0, 1, 1, 0, 1, 0, 0, 1]):
+        ops = trie.ops
+        assert trie.prefix_search(ListProbe(cfg, q)) is trie.root
+        assert trie.ops == ops
+    assert trie.locate(ListProbe(cfg, [2, 0, 1])) == (trie.root, 0)
+    assert set(trie.reach) == {0, 1}
+
+
+def test_packed_keys_at_the_largest_modulus():
+    # at the largest prime below 2^64 a hash fills 64 bits, and a table key
+    # f << 64 | h still names one (f, h): the engine parses like the
+    # reference, and the table has one key per node's distinct pair
+    p = 18446744073709551557
+    rng = random.Random(6464)
+    for trial in range(20):
+        text = random_text(rng, rng.randrange(50, 600),
+                           rng.choice([2, 3, 4, 16]))
+        cfg = HashConfig.from_seed(trial, p)
+        for scheme in Scheme:
+            want = parse_reference(text, scheme)
+            assert parse_fast(text, scheme, cfg=cfg).parsing == want
+            eng, parsing = engine_parse(text.symbols, scheme, cfg)
+            assert parsing == want
+            trie, g = eng.trie, eng.g
+            pairs = set()
+            for v in reachable(trie):
+                if v is not trie.root:
+                    f = two_fattest(v.parent.depth, v.depth)
+                    h = g.prefix_fp(v.tree, f)
+                    assert trie.table[f << 64 | h] is v
+                    pairs.add((f, h))
+            assert len(trie.table) == len(pairs)
+            assert {(key >> 64, key & (1 << 64) - 1)
+                    for key in trie.table} == pairs
 
 
 def test_node_hashes_after_plain_inserts():
@@ -498,7 +547,7 @@ def test_node_hashes_after_plain_inserts():
             stack.extend(v.children.values())
             assert v.hash == g.prefix_fp(v.tree, v.depth)
             if v.parent is not None and two_fattest(v.parent.depth, v.depth) == v.depth:
-                assert trie.table[(v.depth, v.hash)] is v
+                assert trie.table[v.depth << 64 | v.hash] is v
 
 
 def engine_corpus():
@@ -526,7 +575,7 @@ def test_up_pointers_answer_like_a_walk_up(monkeypatch):
     # node keeps one pointer for its queries, up, and leaves share one
     # read-only empty child map
     assert ztrie._TrieNode.__slots__ == ("parent", "depth", "tree", "hash",
-                                         "children", "payload", "up")
+                                         "children", "payload", "up", "first")
     made = []
 
     class Recorded(ztrie._TrieNode):
