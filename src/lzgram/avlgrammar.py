@@ -257,10 +257,11 @@ class Probe:
         """Drop the first k symbols (they were just parsed)."""
         self.length -= k
         self._gh = self._sh = None
-        self._q = -1
-        if k <= self.glen:
+        if k <= self.glen:  # the cached symbol keeps its place in the tree
+            self._q -= k
             self.start += k
             self.glen -= k
             return
+        self._q = -1
         self._toff += k - self.glen
         self.glen = 0

@@ -1,8 +1,8 @@
 """On-disk formats.
 
 Text files (".sym"): a header line `#sigma <N>` followed by ASCII decimal
-symbol values separated by single spaces or newlines.  Texts over an
-alphabet bound <= 256 may instead be stored raw, one byte per symbol.
+symbol values separated by whitespace.  Texts over an alphabet bound <= 256
+may instead be stored raw, one byte per symbol.  Both are read in chunks.
 
 Parsing files: a header `LZD <z> <n>` or `LZMW <z> <n>`, then one phrase per
 line, one token per part of the in-memory phrase.  Tokens are `L:<symbol>`
@@ -12,13 +12,19 @@ part tuple, two tokens or one on a final one-part phrase; an LZMW line is
 its one part.
 
 Every number in either file is written without sign, `_` or leading zero,
-and is read back only in that form, so every file that loads dumps back to
-its own bytes.
+and is read back only in that form, so a file that loads dumps back to the
+same numbers, digit for digit and in order, but not to the same whitespace.
 """
 
 from __future__ import annotations
 
+import io
+from functools import partial
+from itertools import chain
+
 from .model import Literal, Parsing, Scheme, Text
+
+_CHUNK = 1 << 16  # bytes per read of a text file
 
 
 class FormatError(ValueError):
@@ -51,27 +57,72 @@ def dump_text(text: Text) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def load_text(data: bytes) -> Text:
-    try:
-        s = data.decode("ascii")
-    except UnicodeDecodeError as e:
-        raise FormatError(f"not an ASCII symbol file: {e}") from None
-    tokens = s.split()
-    if not tokens or tokens[0] != "#sigma":
-        raise FormatError("missing '#sigma <N>' header")
-    if len(tokens) < 2:
-        raise FormatError("missing alphabet bound after #sigma")
-    # the bound and each distinct symbol token are converted once, in token
-    # order, so the first bad number is the one named, and equal symbols
-    # share one int
-    ints = {tok: _number(tok) for tok in dict.fromkeys(tokens[1:])}
-    for tok, value in ints.items():
+class _Symbols(dict):
+    """token -> int, each distinct token converted at its first occurrence:
+    the first bad token in file order is named, equal symbols share an int."""
+
+    def __missing__(self, tok: str) -> int:
+        value = _number(tok)
         if value is None:
             raise FormatError(f"bad integer token {tok!r}")
-    try:
-        return Text(tuple(map(ints.__getitem__, tokens[2:])), ints[tokens[1]])
+        self[tok] = value
+        return value
+
+
+def _token_lists(chunks):
+    """The tokens of an ASCII file read in chunks, one list per chunk.  A
+    token cut by chunk boundaries is kept in pieces and joined once."""
+    pos, cut = 0, []  # cut: the pieces of a token that may go on
+    for chunk in chunks:
+        try:
+            s = chunk.decode("ascii")
+        except UnicodeDecodeError as e:
+            raise FormatError(
+                f"not an ASCII symbol file: 'ascii' codec can't decode byte "
+                f"0x{chunk[e.start]:02x} in position {pos + e.start}: "
+                f"{e.reason}") from None
+        pos += len(chunk)
+        toks = s.split()  # str.split also separates on \x1c-\x1f
+        if cut:
+            if not s[0].isspace():  # the cut token goes on in this chunk
+                cut.append(toks.pop(0))
+            if toks or s[-1].isspace():  # ... and ends in it
+                toks.insert(0, "".join(cut))
+                cut = []
+        if toks and not s[-1].isspace():
+            cut = [toks.pop()]
+        yield toks
+    if cut:
+        yield ["".join(cut)]
+
+
+def _read_text(f, sym: bool | None = None) -> Text:
+    """The `sym` (if sym) or raw text in file object f, read in chunks with no
+    seek, so f may be a pipe; sym=None takes `sym` iff f starts `#sigma`."""
+    head = b""
+    while len(head) < len(b"#sigma") and (more := f.read(_CHUNK)):
+        head += more
+    chunks = filter(None, chain((head,), iter(partial(f.read, _CHUNK), b"")))
+    if sym is None:
+        sym = head.startswith(b"#sigma")
+    if not sym:
+        return Text(tuple(chain.from_iterable(chunks)), 256)
+    tokens = chain.from_iterable(_token_lists(chunks))
+    if next(tokens, None) != "#sigma":
+        raise FormatError("missing '#sigma <N>' header")
+    if (bound := next(tokens, None)) is None:
+        raise FormatError("missing alphabet bound after #sigma")
+    ints = _Symbols()
+    bound = ints[bound]
+    syms = tuple(map(ints.__getitem__, tokens))
+    try:  # Text's own check names a symbol outside [0, bound)
+        return Text(syms, bound)
     except ValueError as e:
         raise FormatError(str(e)) from None
+
+
+def load_text(data: bytes) -> Text:
+    return _read_text(io.BytesIO(data), sym=True)
 
 
 def dump_text_raw(text: Text) -> bytes:
@@ -84,16 +135,13 @@ def dump_text_raw(text: Text) -> bytes:
 
 
 def load_text_raw(data: bytes) -> Text:
-    return Text(tuple(data), 256)
+    return _read_text(io.BytesIO(data), sym=False)
 
 
 def read_text_file(path: str) -> Text:
     """Load a `sym` text (it starts with `#sigma`), else raw bytes."""
     with open(path, "rb") as f:
-        data = f.read()
-    if data.startswith(b"#sigma"):
-        return load_text(data)
-    return load_text_raw(data)
+        return _read_text(f)
 
 
 def write_text_file(path: str, text: Text, format: str = "sym") -> None:
@@ -159,19 +207,14 @@ def load_parsing(data: bytes) -> Parsing:
     body = lines[1:]
     if len(body) != z:
         raise FormatError(f"header announces {z} phrases, file has {len(body)}")
-    phrases: list = []
-    if scheme is Scheme.LZD:
-        for ln in body:
-            toks = ln.split()
-            if len(toks) not in (1, 2):
-                raise FormatError(f"LZD phrase line needs 1 or 2 tokens: {ln!r}")
-            phrases.append(tuple(map(_parse_token, toks)))
-    else:
-        for ln in body:
-            toks = ln.split()
-            if len(toks) != 1:
-                raise FormatError(f"LZMW phrase line needs 1 token: {ln!r}")
-            phrases.append(_parse_token(toks[0]))
+    lzd, phrases = scheme is Scheme.LZD, []
+    for ln in body:
+        toks = ln.split()
+        if len(toks) not in ((1, 2) if lzd else (1,)):
+            raise FormatError(f"{head[0]} phrase line needs "
+                              f"{'1 or 2 tokens' if lzd else '1 token'}: {ln!r}")
+        parts = tuple(map(_parse_token, toks))
+        phrases.append(parts if lzd else parts[0])
     return Parsing(scheme, tuple(phrases), n)
 
 

@@ -274,6 +274,25 @@ def test_probe_keeps_last_grammar_symbol_until_moved():
     assert probe.fp(4) == fp_of(g.cfg, [42, 43, 99, 98])
 
 
+def test_probe_keeps_its_symbol_across_a_consume_in_the_tree():
+    # a consume that stays in the tree part moves the cached symbol from q
+    # to q - k, where re-reading it costs no grammar op
+    g = AvlGrammar(HashConfig.from_seed(17))
+    t = tree_of(g, range(64))
+    probe = probe_on(g, t, 10, 20)
+    probe.symbol_at(7)
+    for k, q in ((3, 4), (4, 0)):
+        probe.consume(k)
+        ops = g.ops
+        assert probe.symbol_at(q) == 17
+        assert g.ops == ops
+    assert probe.symbol_at(1) == 18  # the other positions read afresh
+    probe.rebase(t, 10, 5, [99, 98])
+    probe.symbol_at(4)
+    probe.consume(6)  # into the tail: the cache goes
+    assert probe.symbol_at(0) == 98
+
+
 def test_probe_hashes_every_prefix_across_moves():
     # fp keeps P(start) and delta^-start, and the tree part's hash and
     # delta^glen, until the probe moves; a stale pair would hash the tree

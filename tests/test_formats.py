@@ -1,10 +1,20 @@
 """Text and parsing file formats: round trips and rejection of bad input."""
 
+import gc
+import os
+import random
 import re
+import subprocess
+import sys
+import tracemalloc
+from functools import partial
+from pathlib import Path
 
 import pytest
 
-from lzgram import Literal, Parsing, Scheme, make_text, parse_reference
+import lzgram
+from lzgram import Literal, Parsing, Scheme, Text, make_text, parse_reference
+from lzgram.adversarial import gen_lzd_slow
 from lzgram.formats import (
     FormatError,
     dump_parsing,
@@ -17,9 +27,9 @@ from lzgram.formats import (
     write_parsing_file,
     write_text_file,
 )
-from lzgram.formats import read_parsing_file
+from lzgram.formats import _CHUNK, _read_text, read_parsing_file
 
-from support import EX1_LZD, EX1_LZMW, EX1_TEXT
+from support import EX1_LZD, EX1_LZMW, EX1_TEXT, random_text
 
 
 def test_sym_round_trip():
@@ -115,12 +125,176 @@ def test_text_tokens():
 ])
 def test_non_canonical_text_numbers_rejected(header, body, bad):
     # the bound and the symbols follow the parsing files' rule for numbers,
-    # so every text that loads dumps back to its own bytes; the first bad
-    # number is named
+    # so every number in a text that loads dumps back to its own digits; the
+    # first bad number is named
     with pytest.raises(FormatError, match=re.escape(repr(bad))):
         load_text(f"#sigma {header}\n{body}\n".encode())
     for canonical in (b"#sigma 10\n1 2\n", b"#sigma 4\n0 3\n"):
         assert dump_text(load_text(canonical)) == canonical
+
+
+def test_whitespace_between_tokens_is_not_kept():
+    # numbers read back to their own digits and in their order; the
+    # separators are the writers' own
+    assert dump_text(load_text(b"#sigma 4\n1  2\t3\n")) == b"#sigma 4\n1 2 3\n"
+    assert (dump_parsing(load_parsing(b"LZD 1 2\n\nL:0   L:1\r\n"))
+            == b"LZD 1 2\nL:0 L:1\n")
+
+
+# The reader reads a file in chunks; these drive it through a file double
+# that hands out a few bytes a read, so that every header, token and
+# separator is cut somewhere, and compare it with a whole-file split.
+
+class TrickleFile:
+    """A file double whose read(size) returns the next of `cuts` bytes, at
+    most size, and size bytes once they run out: a short read is no end of
+    file, as on a pipe.  It cannot seek."""
+
+    def __init__(self, data: bytes, cuts=()):
+        self.data, self.pos, self.cuts = data, 0, iter(cuts)
+
+    def read(self, size: int) -> bytes:
+        end = self.pos + min(size, next(self.cuts, size))
+        piece, self.pos = self.data[self.pos:end], min(end, len(self.data))
+        return piece
+
+
+def trickle(data: bytes, seed: int) -> TrickleFile:
+    """data, 1 to 7 bytes a read."""
+    return TrickleFile(data, iter(partial(random.Random(seed).randint, 1, 7), None))
+
+
+def split_text(data: bytes) -> Text:
+    """The text in a good file, by a plain whole-file split."""
+    if not data.startswith(b"#sigma"):
+        return Text(tuple(data), 256)
+    tokens = data.decode("ascii").split()
+    return Text(tuple(map(int, tokens[2:])), int(tokens[1]))
+
+
+def assert_reads(data: bytes, seed: int):
+    want = split_text(data)
+    for f in (trickle(data, seed), TrickleFile(data)):
+        text = _read_text(f)
+        assert text == want
+        # equal symbols share one int
+        assert len(set(map(id, text.symbols))) == len(set(text.symbols))
+    if want.alphabet_bound != 256 or data.startswith(b"#sigma"):
+        assert load_text(data) == want
+
+
+SYM_FILES = [
+    dump_text(EX1_TEXT), dump_text(make_text(list(range(200)) * 2, 200)),
+    dump_text(make_text([0, 7, 255, 7] * 17 + [300, 0], 301)),
+    b"#sigma 1\n", b"#sigma 6\n5\n", b"#sigma 2\n1 0 1\n",
+    b"#sigma 400\n300\x1c300 7\x1f300", b"#sigma 10\n1 2\n", b"#sigma 4\n0 3\n",
+    b"#sigma 4\n1  2\t3\n",
+]
+SEPARATORS = [" ", "\n", "\r\n", "\t", "\x1c", "\x1d", "\x1e", "\x1f", " \n\t"]
+
+
+def test_chunked_reads_equal_a_whole_file_split():
+    for seed, data in enumerate(SYM_FILES):
+        assert_reads(data, seed)
+    rng = random.Random(2626)
+    for seed in range(300):
+        sigma = rng.choice([1, 2, 10, 300, 5000])
+        syms = random_text(rng, rng.randrange(60), sigma).symbols
+        sep = lambda: "".join(rng.choices(SEPARATORS, k=rng.randint(1, 2)))
+        body = "".join(f"{sep()}{v}" for v in (sigma, *syms))
+        assert_reads(f"#sigma{body}{rng.choice(['', sep()])}".encode(), seed)
+
+
+def test_header_split_across_reads():
+    data = b"#sigma 300\n299 7 299"
+    for cuts in ([1] * 30, [3, 3, 3], [5, 2, 1, 9], [6, 1, 1, 1, 1, 30]):
+        assert _read_text(TrickleFile(data, cuts)) == Text((299, 7, 299), 300)
+        assert _read_text(TrickleFile(b"#s1", cuts)) == Text(tuple(b"#s1"), 256)
+
+
+def test_texts_longer_than_a_chunk(tmp_path):
+    rng = random.Random(7)
+    raw = bytes([0] + [rng.randrange(256) for _ in range(_CHUNK + 999)])
+    sym = dump_text(random_text(rng, _CHUNK // 2, 5000))
+    path = tmp_path / "t"
+    for seed, data in enumerate((raw, sym)):
+        assert len(data) > _CHUNK
+        assert_reads(data, seed)
+        path.write_bytes(data)
+        assert read_text_file(str(path)) == split_text(data)
+    # one token over three chunks is joined from its pieces once, whole
+    long = "7" * (3 * _CHUNK)
+    with pytest.raises(FormatError) as e:
+        load_text(f"#sigma 8\n1 {long} 2".encode())
+    assert str(e.value) == f"bad integer token {long!r}"
+
+
+BAD_TEXT_FILES = [
+    b"", b"1 2 3", b"#sigma", b"#sigma two\n1", b"#sigma 4\n1 x 3", b"#sigma 4\n5",
+    b"#sigma 0\n", b"#sigma 4\n1 z y z y", b"#sigma 04\n1", b"#sigma 4\n1 -0",
+    b"#sigma 4\n3 1_0 01", b"\xff\xfe", b"#sigma 4\n1 2 \x80",
+]
+
+
+def test_bad_files_fail_alike_in_chunks():
+    for seed, data in enumerate(BAD_TEXT_FILES):
+        with pytest.raises(FormatError) as whole:
+            load_text(data)
+        with pytest.raises(FormatError) as chunked:
+            _read_text(trickle(data, seed), sym=True)
+        assert str(chunked.value) == str(whole.value)
+
+
+def test_non_ascii_byte_is_named_at_its_file_offset():
+    data = b"#sigma 4\n" + b"1 " * _CHUNK + b"2\xff 3\n"
+    at = len(data) - 4
+    message = (f"not an ASCII symbol file: 'ascii' codec can't decode byte 0xff"
+               f" in position {at}: ordinal not in range(128)")
+    for f in (trickle(data, 1), TrickleFile(data, [_CHUNK] * 3)):
+        with pytest.raises(FormatError) as e:
+            _read_text(f)
+        assert str(e.value) == message
+    # faults are met in file order: a bad token before it is the one named
+    with pytest.raises(FormatError, match="'x'"):
+        load_text(b"#sigma 4\n1 x " + data[9:])
+
+
+def test_reading_a_slow_family_text_stays_small(tmp_path):
+    # the reader holds a chunk, its tokens and the growing tuple, not the
+    # whole file and a list of its tokens (18.6 MiB before chunked reads)
+    path = tmp_path / "lzd-slow-16.sym"
+    write_text_file(str(path), gen_lzd_slow(16))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        text = read_text_file(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) == 233_083
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_parse_reads_text_from_a_pipe(tmp_path):
+    # the format is told from the first bytes read, with no seek back
+    src = str(Path(lzgram.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    path = tmp_path / "t.sym"
+    text = random_text(random.Random(5), 30_000, 300)
+    write_text_file(str(path), text)
+    assert path.stat().st_size > _CHUNK
+    outputs = []
+    for i, infile in enumerate((str(path), "/dev/stdin")):
+        out = tmp_path / f"{i}.lzp"
+        subprocess.run([sys.executable, "-m", "lzgram.cli", "parse", "--scheme",
+                        "lzd", "--algo", "reference", "--in", infile, "--out",
+                        str(out)], input=path.read_bytes(), env=env,
+                       capture_output=True, check=True)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0] == dump_parsing(parse_reference(text, Scheme.LZD))
 
 
 def test_parsing_round_trip():
@@ -178,8 +352,8 @@ def test_overlong_token_rejected():
         b"P:1_0", b"P:00", b"L:", b"P:")),
 ])
 def test_non_canonical_tokens_rejected(data):
-    # a number is read back only as _part_token writes it, so every file
-    # that loads dumps back to its own bytes
+    # a number is read back only as _part_token writes it, so every number
+    # in a file that loads dumps back to its own digits
     with pytest.raises(FormatError):
         load_parsing(data)
     canonical = b"LZD 2 12\nL:0 L:10\nP:10\n"
@@ -191,8 +365,8 @@ def test_non_canonical_tokens_rejected(data):
     b"LZMW +1 2", b"LZMW 1 0_2", b"LZMW 01 -0", b"LZD 1 " + b"1" * 5000,
 ])
 def test_non_canonical_header_rejected(header):
-    # the header's numbers follow the tokens' rule, so that every file that
-    # loads dumps back to its own bytes
+    # the header's numbers follow the tokens' rule, so that they too dump
+    # back to their own digits
     body = b"\nL:0 L:1\n" if header.startswith(b"LZD") else b"\nL:0\n"
     with pytest.raises(FormatError):
         load_parsing(header + body)
