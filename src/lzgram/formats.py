@@ -207,14 +207,19 @@ def load_parsing(data: bytes) -> Parsing:
     body = lines[1:]
     if len(body) != z:
         raise FormatError(f"header announces {z} phrases, file has {len(body)}")
-    lzd, phrases = scheme is Scheme.LZD, []
-    for ln in body:
-        toks = ln.split()
-        if len(toks) not in ((1, 2) if lzd else (1,)):
-            raise FormatError(f"{head[0]} phrase line needs "
-                              f"{'1 or 2 tokens' if lzd else '1 token'}: {ln!r}")
-        parts = tuple(map(_parse_token, toks))
-        phrases.append(parts if lzd else parts[0])
+    phrases: list = []
+    if scheme is Scheme.LZD:
+        for ln in body:
+            toks = ln.split()
+            if len(toks) not in (1, 2):
+                raise FormatError(f"LZD phrase line needs 1 or 2 tokens: {ln!r}")
+            phrases.append(tuple(map(_parse_token, toks)))
+    else:
+        for ln in body:
+            toks = ln.split()
+            if len(toks) != 1:
+                raise FormatError(f"LZMW phrase line needs 1 token: {ln!r}")
+            phrases.append(_parse_token(toks[0]))
     return Parsing(scheme, tuple(phrases), n)
 
 
