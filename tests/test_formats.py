@@ -101,10 +101,16 @@ def test_raw_file_reads_back_as_written(tmp_path):
     b"#sigma 4\n1 x 3",
     b"#sigma 4\n5",          # symbol outside bound
     b"\xff\xfe",
+    b"#sigma 0\n",           # bound outside its range
+    b"#sigma 4\n1 2 \x80",
 ])
 def test_bad_text_files_rejected(data):
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as whole:
         load_text(data)
+    # read a few bytes at a time, the file fails alike
+    with pytest.raises(FormatError) as chunked:
+        _read_text(trickle(data, len(data)), sym=True)
+    assert str(chunked.value) == str(whole.value)
 
 
 def test_text_tokens():
@@ -127,8 +133,11 @@ def test_non_canonical_text_numbers_rejected(header, body, bad):
     # the bound and the symbols follow the parsing files' rule for numbers,
     # so every number in a text that loads dumps back to its own digits; the
     # first bad number is named
+    data = f"#sigma {header}\n{body}\n".encode()
     with pytest.raises(FormatError, match=re.escape(repr(bad))):
-        load_text(f"#sigma {header}\n{body}\n".encode())
+        load_text(data)
+    with pytest.raises(FormatError, match=re.escape(repr(bad))):  # in pieces
+        _read_text(trickle(data, len(data)), sym=True)
     for canonical in (b"#sigma 10\n1 2\n", b"#sigma 4\n0 3\n"):
         assert dump_text(load_text(canonical)) == canonical
 
@@ -227,22 +236,6 @@ def test_texts_longer_than_a_chunk(tmp_path):
     with pytest.raises(FormatError) as e:
         load_text(f"#sigma 8\n1 {long} 2".encode())
     assert str(e.value) == f"bad integer token {long!r}"
-
-
-BAD_TEXT_FILES = [
-    b"", b"1 2 3", b"#sigma", b"#sigma two\n1", b"#sigma 4\n1 x 3", b"#sigma 4\n5",
-    b"#sigma 0\n", b"#sigma 4\n1 z y z y", b"#sigma 04\n1", b"#sigma 4\n1 -0",
-    b"#sigma 4\n3 1_0 01", b"\xff\xfe", b"#sigma 4\n1 2 \x80",
-]
-
-
-def test_bad_files_fail_alike_in_chunks():
-    for seed, data in enumerate(BAD_TEXT_FILES):
-        with pytest.raises(FormatError) as whole:
-            load_text(data)
-        with pytest.raises(FormatError) as chunked:
-            _read_text(trickle(data, seed), sym=True)
-        assert str(chunked.value) == str(whole.value)
 
 
 def test_non_ascii_byte_is_named_at_its_file_offset():
