@@ -184,8 +184,11 @@ class Probe:
     The streaming engine's lookahead ("carry") is one: the phrase tree whose
     prefix the last search certified, plus freshly read symbols.  A trie
     insert reads its string, a whole tree, through one with an empty tail.
-    The last grammar symbol read is kept: insert re-reads, as the new leaf's
-    key, the symbol that locate found no child for.
+    The last grammar symbol read is kept: locate's child step re-reads the
+    one prefix_search read, and insert re-reads, as the new leaf's key, the
+    symbol that locate found no child for.  An insert that resumes a search
+    from a locus has read the symbol there from its tree, and hands it over
+    with `known`.
     """
 
     __slots__ = ("g", "cfg", "tree", "start", "glen", "length", "_gh", "_gpow",
@@ -229,6 +232,11 @@ class Probe:
             self._q, self._sym = q, self.g.symbol_at(self.tree, self.start + q)
         return self._sym
 
+    def known(self, q: int, sym: int) -> None:
+        """Take sym, symbol q of the tree part read elsewhere, as the last
+        symbol read, so that symbol_at(q) does not read it again."""
+        self._q, self._sym = q, sym
+
     def rebase(self, tree: _Node | None, start: int, length: int,
                tail: list) -> None:
         """Read tree[start:start+length) followed by tail (which the probe
@@ -244,14 +252,15 @@ class Probe:
         # delta^-_toff undoes the dropped prefix
         self._tail = tail
         self._toff = 0
-        self._th = [0]
-        if tail:  # none for a trie insert, which skips this set-up
+        if tail:
             cfg = self.cfg
             dpow, dinvpow = self._dpow, self._dinvpow
             while len(dpow) <= len(tail):
                 dpow.append(dpow[-1] * cfg.delta % cfg.p)
                 dinvpow.append(dinvpow[-1] * self._dinv % cfg.p)
-            self._th += accumulate(map(mul, tail, dpow))
+            self._th = list(accumulate(map(mul, tail, dpow), initial=0))
+        else:  # a trie insert's probe, which skips this set-up
+            self._th = [0]
 
     def consume(self, k: int) -> None:
         """Drop the first k symbols (they were just parsed)."""

@@ -12,7 +12,8 @@ one.  A marked node answers a nearest-marked-ancestor query for itself; an
 unmarked node keeps its deepest marked proper ancestor in `up` (None for the
 root and for a node without one).  Marking a node walks down the children
 dicts from it, stopping at marked nodes, and points `up` of every unmarked
-node it reaches at the newly marked node; a split node copies `up` from its
+node it reaches at the newly marked node; a new leaf, which has no children,
+takes its payload without a walk, and a split node copies `up` from its
 parent.  A query is O(1), and over a parse of n symbols, sigma of them
 distinct, the walks cost O(n):
 
@@ -121,27 +122,38 @@ class ZTrie:
         The first payload given for a string stays; payloads are never None.
         The string is found by `locate`, or from `at`: the (node, lcp) that
         `locate` returned, possibly before other inserts, for a string that
-        starts with this one.  At most one edge split and one new leaf follow.
+        starts with this one.  From `at`, the symbol after the lcp is read
+        from the tree, and the probe is rebased and `locate` resumed only
+        when the locus is a node with a child under that symbol.  At most one
+        edge split and one new leaf follow; a new leaf has no children, so it
+        takes its payload without a marking walk.
         """
         probe = self._probe
-        probe.rebase(tree, 0, tree.length, [])
         if at is None:
+            probe.rebase(tree, 0, tree.length, [])
             v, m = self.locate(probe)
+            key = probe.symbol_at(m) if m < tree.length else None
         else:
             v, m = at
-            m = min(m, probe.length)
+            m = min(m, tree.length)
             # edges may have been split since that search
             while v.parent is not None and v.parent.depth >= m:
                 v = v.parent
-            # a mismatch inside an edge is permanent: only at a node can a
-            # string inserted since continue the path
-            if m == v.depth < probe.length:
+            key = self.g.symbol_at(tree, m) if m < tree.length else None
+            # a mismatch inside an edge is permanent: only a child of a node
+            # under the next symbol, from a string inserted since, can
+            # continue the path
+            if m == v.depth and key in v.children:
+                probe.rebase(tree, 0, tree.length, [])
+                probe.known(m, key)
                 v, m = self.locate(probe, at=(v, m))
+                key = probe.symbol_at(m) if m < tree.length else None
         if m < v.depth:
             v = self._split(v, m)
-        if m < probe.length:
-            v = self._new_leaf(v, probe.symbol_at(m), tree)
-        if v.payload is None:
+        if key is not None:
+            v = self._new_leaf(v, key, tree)
+            v.payload = payload
+        elif v.payload is None:
             self._mark(v, payload)
         return v
 

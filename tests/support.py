@@ -85,6 +85,20 @@ def engine_parse(syms, scheme, cfg):
     return eng, greedy_parse(scheme, eng.next_part, eng.add)
 
 
+# (symbols_read, blocks_read, searches, parts, grammar_ops, trie_ops, ma_ops,
+#  trie_nodes, grammar_nodes) of parse_fast(..., seed=0) on the slow
+# families at k=8 and on a 1,200-symbol random text (test_fast_stats_pinned).
+# The three op counters and grammar_nodes move whenever the engine's search
+# paths or structures change; the other five fields are fixed by the parsing
+# and the block reader.
+PINNED_FAST_STATS = {
+    "lzd-slow": (13123, 67, 885, 818, 17821, 2084, 72, 654, 1066),
+    "lzmw-slow": (7870, 47, 694, 647, 12735, 1410, 48, 914, 1105),
+    "random-lzd": (1200, 10, 492, 482, 2888, 1526, 32, 291, 261),
+    "random-lzmw": (1200, 10, 448, 438, 4905, 1477, 43, 541, 463),
+}
+
+
 # Grammar helpers: besides phrase trees, as the engine builds them, tests
 # build trees over whole texts and copy ranges of them.
 

@@ -23,8 +23,8 @@ from lzgram import (
 from lzgram.adversarial import FAMILIES, binary_reduce, gen_lzd_slow
 from lzgram.model import phrase_ends
 
-from support import (EX1_LZD, EX1_LZMW, EX1_TEXT, engine_parse, random_text,
-                     register_parsing, to_symbols)
+from support import (EX1_LZD, EX1_LZMW, EX1_TEXT, PINNED_FAST_STATS,
+                     engine_parse, random_text, register_parsing, to_symbols)
 
 
 class CountingSource:
@@ -216,19 +216,6 @@ def test_slow_family_k16_agreement():
     register_parsing("fast-lzd-slow-16", res.parsing)
     assert res.parsing == parse_reference(text, Scheme.LZD)
     assert res.stats.symbols_read == len(text.symbols)
-
-
-# (symbols_read, blocks_read, searches, parts, grammar_ops, trie_ops, ma_ops,
-#  trie_nodes, grammar_nodes) of parse_fast(..., seed=0).  The three op
-# counters and grammar_nodes move whenever the engine's search paths or
-# structures change; the other five fields are fixed by the parsing and the
-# block reader.
-PINNED_FAST_STATS = {
-    "lzd-slow": (13123, 67, 885, 818, 17821, 2084, 72, 654, 1066),
-    "lzmw-slow": (7870, 47, 694, 647, 12735, 1410, 48, 914, 1105),
-    "random-lzd": (1200, 10, 492, 482, 2888, 1526, 32, 291, 261),
-    "random-lzmw": (1200, 10, 448, 438, 4905, 1477, 43, 541, 463),
-}
 
 
 def test_fast_stats_pinned():

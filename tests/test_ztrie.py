@@ -8,11 +8,13 @@ import pytest
 from lzgram import (AvlGrammar, HashConfig, Scheme, parse_fast,
                     parse_reference, ztrie)
 from lzgram.adversarial import FAMILIES
+from lzgram.avlgrammar import Probe
 from lzgram.hashing import MERSENNE61
 from lzgram.ztrie import ZTrie, two_fattest
 
-from support import (build_by_copies, copy_of, engine_parse, probe_on,
-                     random_text, to_symbols, tree_of)
+from support import (PINNED_FAST_STATS, build_by_copies, copy_of,
+                     engine_parse, extract, probe_on, random_text, to_symbols,
+                     tree_of)
 
 
 class ListProbe:
@@ -364,17 +366,18 @@ def test_lcp_descent_on_copy_built_grammars():
                 assert g.common_prefix(probe, tree, max_len, lo) == want
 
 
-def _trie_shape(trie):
-    """Every node's (depth, tree, child keys, payload), in a walk that
+def _trie_shape(trie, name=lambda v: id(v.tree)):
+    """Every node's (depth, name, child keys, payload), in a walk that
     visits children by key, and the table with nodes named by walk index;
-    trees are named by identity, as both tries compared share them."""
+    by default a node is named by its tree's identity, for tries that share
+    their trees."""
     index, shape = {}, []
     stack = [trie.root]
     while stack:
         v = stack.pop()
         index[id(v)] = len(shape)
         keys = sorted(v.children)
-        shape.append((v.depth, id(v.tree), tuple(keys), v.payload))
+        shape.append((v.depth, name(v), tuple(keys), v.payload))
         stack.extend(v.children[k] for k in reversed(keys))
     table = {key: index[id(v)] for key, v in trie.table.items()}
     return shape, table
@@ -619,3 +622,97 @@ def test_marking_walks_top_down_chain():
         assert trie.ma_ops <= 2 * trie.node_count + 2 * leaves
     # a^i's walk scans the two children of each a^j, j > i
     assert trie.ma_ops >= chain * (chain - 1)
+
+
+def record_inserts(monkeypatch):
+    """Log every trie insert as (trie, tree, payload, continues, calls):
+    continues tells whether the locus given is a node with a child under
+    the string's next symbol, and calls lists the (name, args) of the
+    `locate`, `_mark` and `Probe.rebase` calls the insert makes and the
+    ("leaf", node) of each leaf it creates."""
+    log, calls = [], None
+    insert, new_leaf = ZTrie.insert, ZTrie._new_leaf
+
+    def recorded(name, method):
+        def call(self, *args, **kwargs):
+            if calls is not None:
+                calls.append((name, args))
+            return method(self, *args, **kwargs)
+        return call
+
+    def logged_insert(self, tree, payload, at=None):
+        nonlocal calls
+        continues = False
+        if at is not None:
+            # the locus as insert sees it, after edge splits since its search
+            v, m = at
+            m = min(m, tree.length)
+            while v.parent is not None and v.parent.depth >= m:
+                v = v.parent
+            continues = (m == v.depth < tree.length
+                         and next(extract(tree, m, m + 1)) in v.children)
+        calls = []
+        log.append((self, tree, payload, continues, calls))
+        try:
+            return insert(self, tree, payload, at)
+        finally:
+            calls = None
+
+    def logged_new_leaf(self, *args):
+        leaf = new_leaf(self, *args)
+        if calls is not None:
+            calls.append(("leaf", leaf))
+        return leaf
+
+    monkeypatch.setattr(ZTrie, "insert", logged_insert)
+    monkeypatch.setattr(ZTrie, "_new_leaf", logged_new_leaf)
+    monkeypatch.setattr(ZTrie, "locate", recorded("locate", ZTrie.locate))
+    monkeypatch.setattr(ZTrie, "_mark", recorded("_mark", ZTrie._mark))
+    monkeypatch.setattr(Probe, "rebase", recorded("rebase", Probe.rebase))
+    return log
+
+
+def test_insert_searches_only_past_a_child_under_the_next_symbol(monkeypatch):
+    # from a locus, a string inserted since can extend the path only through
+    # a child of the locus node under the next symbol; any other insert
+    # reads that symbol from its tree and neither rebases the trie's probe
+    # nor searches.  The engine's trie still equals one built by plain
+    # inserts of the same strings, named by their strings, as a lazy phrase
+    # tree is replaced by its balanced join once cited
+    insert = ZTrie.insert
+    log = record_inserts(monkeypatch)
+    for syms, scheme, cfg in engine_corpus():
+        log.clear()
+        eng, _ = engine_parse(syms, scheme, cfg)
+        searched = 0
+        for trie, _, _, continues, calls in log:
+            assert trie is eng.trie
+            names = [name for name, _ in calls if name in ("rebase", "locate")]
+            assert names == (["rebase", "locate"] if continues else [])
+            searched += continues
+        assert 0 < searched < len(log)
+        if cfg.p == MERSENNE61:
+            plain = ZTrie(eng.g)
+            for _, tree, payload, _, _ in log:
+                insert(plain, tree, payload)
+            assert _trie_shape(eng.trie, string) == _trie_shape(plain, string)
+
+
+def test_a_new_leaf_takes_its_payload_without_a_walk(monkeypatch):
+    # a new leaf has no children, so a marking walk from it would examine
+    # none: it takes its payload by assignment, and ma_ops, which counts
+    # the child entries walks examine, keeps its pinned values
+    log = record_inserts(monkeypatch)
+    for syms, scheme, cfg in engine_corpus():
+        log.clear()
+        engine_parse(syms, scheme, cfg)
+        for _, _, payload, _, calls in log:
+            leaves = [args for name, args in calls if name == "leaf"]
+            marked = [args[0] for name, args in calls if name == "_mark"]
+            assert len(leaves) <= 1 and len(marked) <= 1
+            assert not any(v is leaf for v in marked for leaf in leaves)
+            assert all(leaf.payload is payload for leaf in leaves)
+    for name in ("lzd-slow", "lzmw-slow"):
+        gen, scheme, _ = FAMILIES[name]
+        eng, _ = engine_parse(gen(8).symbols, scheme, HashConfig.from_seed(0))
+        assert eng.trie.ma_ops == PINNED_FAST_STATS[name][6]
