@@ -707,7 +707,7 @@ def test_a_new_leaf_takes_its_payload_without_a_walk(monkeypatch):
         log.clear()
         engine_parse(syms, scheme, cfg)
         for _, _, payload, _, calls in log:
-            leaves = [args for name, args in calls if name == "leaf"]
+            leaves = [leaf for name, leaf in calls if name == "leaf"]
             marked = [args[0] for name, args in calls if name == "_mark"]
             assert len(leaves) <= 1 and len(marked) <= 1
             assert not any(v is leaf for v in marked for leaf in leaves)
