@@ -34,18 +34,18 @@ from .ztrie import ZTrie
 class BlockReader:
     """Sequential symbol source, delivering each symbol exactly once.
 
-    The source must be sized: block length is max(16, ceil(log2 n)^2) for
-    its length n, which a lazy source may report before it is read.
+    The source is any iterable; its length is never asked for.  After d
+    symbols a block is ceil(log2(d + 16))^2 long: 16 at first, and never
+    longer than ceil(log2(n + 16))^2 on an input of n symbols.
     """
 
     def __init__(self, source):
-        self.length = len(source)
         self._it = iter(source)
         self.delivered = 0
         self.blocks_read = 0
 
     def block_length(self) -> int:
-        return max(16, math.ceil(math.log2(max(self.length, 2))) ** 2)
+        return math.ceil(math.log2(self.delivered + 16)) ** 2
 
     def read_block(self) -> list:
         """The next block; empty once the input is exhausted."""
@@ -185,7 +185,7 @@ class _Engine:
 
 def parse_fast(text, scheme: Scheme, cfg: HashConfig | None = None,
                seed: int = 0) -> FastResult:
-    """Single-pass greedy parse of a model Text or any sized symbol iterable;
+    """Single-pass greedy parse of a model Text or any symbol iterable;
     Monte-Carlo correct."""
     if cfg is None:
         cfg = HashConfig.from_seed(seed)
@@ -200,7 +200,7 @@ def parse_las_vegas_detailed(make_reader, scheme: Scheme, seed: int = 0,
     """Verified parse: rerun with fresh hash bases until the output expands
     back to the input.
 
-    make_reader() must return a fresh sized iterable over the input symbols
+    make_reader() must return a fresh iterable over the input symbols
     each call (two calls per attempt: one to parse, one to verify).
     """
     rng = random.Random(seed)

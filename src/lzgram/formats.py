@@ -168,7 +168,7 @@ def _part_token(part) -> str:
 
 
 def dump_parsing(parsing: Parsing) -> bytes:
-    lines = [f"{parsing.scheme.label} {len(parsing.phrases)} {parsing.source_length}"]
+    lines = [f"{parsing.scheme.name} {len(parsing.phrases)} {parsing.source_length}"]
     if parsing.scheme is Scheme.LZD:
         for ph in parsing.phrases:
             if type(ph) is not tuple or len(ph) not in (1, 2):

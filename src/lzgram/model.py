@@ -34,10 +34,6 @@ class Scheme(Enum):
     LZD = "lzd"
     LZMW = "lzmw"
 
-    @property
-    def label(self) -> str:
-        return self.name  # header token in parsing files
-
 
 class GrammarError(ValueError):
     """Structural problem in a grammar or a parsing-to-grammar conversion."""
@@ -138,29 +134,25 @@ def lzd_parse_reference(text: Text) -> Parsing:
     n = len(s)
     d = _Dictionary()
     phrases: list[tuple] = []
-    seen: set[int] = set()
     pos = 0
 
     def next_part() -> tuple[Literal | int, int]:
         m = d.longest_match(s, pos)
         if m is not None:
             return m
-        # first occurrence of s[pos]: the symbol itself is the part
-        return Literal(s[pos]), 1
+        # first occurrence of s[pos]: the symbol itself is the part, and
+        # from now on a dictionary string
+        part = Literal(s[pos])
+        d.add((part.symbol,), part)
+        return part, 1
 
     while pos < n:
         first, flen = next_part()
-        if isinstance(first, Literal) and first.symbol not in seen:
-            d.add((first.symbol,), Literal(first.symbol))
-        seen.update(s[pos:pos + flen])
         pos += flen
         if pos == n:
             phrases.append((first,))
             break
         second, slen = next_part()
-        if isinstance(second, Literal) and second.symbol not in seen:
-            d.add((second.symbol,), Literal(second.symbol))
-        seen.update(s[pos:pos + slen])
         pos += slen
         phrases.append((first, second))
         d.add(s[pos - flen - slen:pos], len(phrases))
@@ -173,18 +165,16 @@ def lzmw_parse_reference(text: Text) -> Parsing:
     d = _Dictionary()
     prev: tuple = ()  # the previous phrase's expansion
     phrases: list[Literal | int] = []
-    seen: set[int] = set()
     pos = 0
     while pos < n:
         m = d.longest_match(s, pos)
         if m is None:
+            # first occurrence of s[pos]: as in the LZD oracle
             phrase: Literal | int = Literal(s[pos])
             plen = 1
+            d.add((phrase.symbol,), phrase)
         else:
             phrase, plen = m
-        if isinstance(phrase, Literal) and phrase.symbol not in seen:
-            d.add((phrase.symbol,), Literal(phrase.symbol))
-        seen.update(s[pos:pos + plen])
         pos += plen
         phrases.append(phrase)
         cur = s[pos - plen:pos]

@@ -92,10 +92,10 @@ def engine_parse(syms, scheme, cfg):
 # paths or structures change; the other five fields are fixed by the parsing
 # and the block reader.
 PINNED_FAST_STATS = {
-    "lzd-slow": (13123, 67, 885, 818, 17821, 2084, 72, 654, 1066),
-    "lzmw-slow": (7870, 47, 694, 647, 12735, 1410, 48, 914, 1105),
-    "random-lzd": (1200, 10, 492, 482, 2888, 1526, 32, 291, 261),
-    "random-lzmw": (1200, 10, 448, 438, 4905, 1477, 43, 541, 463),
+    "lzd-slow": (13123, 87, 905, 818, 17450, 2078, 72, 654, 1066),
+    "lzmw-slow": (7870, 60, 707, 647, 13260, 1431, 48, 914, 1105),
+    "random-lzd": (1200, 16, 498, 482, 2960, 1523, 32, 291, 261),
+    "random-lzmw": (1200, 16, 454, 438, 4971, 1468, 43, 541, 463),
 }
 
 

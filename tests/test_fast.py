@@ -34,9 +34,6 @@ class CountingSource:
         self.syms = tuple(syms)
         self.count = 0
 
-    def __len__(self):
-        return len(self.syms)
-
     def __iter__(self):
         for s in self.syms:
             self.count += 1
@@ -96,21 +93,28 @@ def test_single_pass_symbol_reads():
         assert res.stats.blocks_read >= 1
 
 
-def test_block_reader_known_length():
-    syms = list(range(1000))
-    r = BlockReader(syms)
-    assert r.block_length() == max(16, math.ceil(math.log2(1000)) ** 2)
-    out = []
-    while True:
-        block = r.read_block()
-        if not block:
-            break
-        out.extend(block)
-    assert out == syms
-    assert r.delivered == 1000
-    # the block length needs n: an unsized stream is refused, not guessed at
-    with pytest.raises(TypeError):
-        BlockReader(iter(syms))
+def test_block_reader_schedule():
+    # the block length follows the symbols delivered, not the input's
+    # length, which a generator does not know
+    n = 1000
+    r = BlockReader(s for s in range(n))
+    blocks = []
+    while block := r.read_block():
+        blocks.append(block)
+    assert [s for block in blocks for s in block] == list(range(n))
+    assert r.delivered == n and r.blocks_read == len(blocks)
+    lengths = [len(block) for block in blocks]
+    assert lengths[0] == 16
+    assert lengths[:-1] == sorted(lengths[:-1])  # the last one may be cut short
+    assert max(lengths) <= math.ceil(math.log2(n + 16)) ** 2
+
+
+def test_las_vegas_reads_one_shot_iterators():
+    rng = random.Random(4321)
+    for scheme in Scheme:
+        syms = tuple(rng.randrange(3) for _ in range(300))
+        res = parse_las_vegas_detailed(lambda: iter(syms), scheme, seed=1)
+        assert res.parsing == parse_reference(make_text(syms), scheme)
 
 
 def test_structure_bounds():
