@@ -19,7 +19,7 @@ occurrence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, count, islice
 
 from .model import Grammar, Literal, Scheme, Text, make_text
 
@@ -84,47 +84,37 @@ def gen_lzd_approx(k: int) -> Text:
     return make_text(out, 4)
 
 
-class _Builder:
-    """Sequential rule-id allocator for hand-built grammars."""
-
-    def __init__(self):
-        self.productions: dict[int, tuple] = {}
-        self._next = 1
-
-    def rule(self, rhs) -> int:
-        rid = self._next
-        self._next += 1
-        self.productions[rid] = tuple(rhs)
-        return rid
-
-    def grammar(self, start: int) -> Grammar:
-        return Grammar(self.productions, start)
+def _rule(rules: dict, rhs) -> int:
+    """Add a production under the next rule id, len(rules) + 1; return it."""
+    rid = len(rules) + 1
+    rules[rid] = tuple(rhs)
+    return rid
 
 
-def _delta_x_rules(g: _Builder, a_chain: list[int], k: int):
+def _delta_x_rules(rules: dict, a_chain: list[int], k: int):
     """Rules for delta_0..delta_k and for x, as `_delta` and `_approx_x`
     spell them; returns (delta rule ids, x rule id)."""
-    deltas = [g.rule([a_chain[i], Literal(_B), Literal(_B), a_chain[k - i]])
+    deltas = [_rule(rules, [a_chain[i], Literal(_B), Literal(_B), a_chain[k - i]])
               for i in range(k + 1)]
     x_rhs: list = []
     for j in range(k - 1, k // 2, -1):
         x_rhs += [deltas[k], deltas[j]]
     x_rhs += [deltas[k], a_chain[k - 1]]
-    return deltas, g.rule(x_rhs)
+    return deltas, _rule(rules, x_rhs)
 
 
 def small_grammar_lzmw(k: int) -> Grammar:
     _check_k(k, 4)
-    g = _Builder()
-    a_chain = [g.rule([])]
+    rules: dict[int, tuple] = {}
+    a_chain = [_rule(rules, [])]
     for i in range(1, 2 * k + 1):
-        a_chain.append(g.rule([a_chain[i - 1], Literal(_A)]))
-    b_chain = [g.rule([Literal(_C)])]
+        a_chain.append(_rule(rules, [a_chain[i - 1], Literal(_A)]))
+    b_chain = [_rule(rules, [Literal(_C)])]
     for i in range(1, 2 * k + 1):
-        b_chain.append(g.rule([b_chain[i - 1], Literal(_B), a_chain[i]]))
-    gammas = [g.rule([Literal(_B), a_chain[2 * i + 1], Literal(_B), b_chain[i]])
+        b_chain.append(_rule(rules, [b_chain[i - 1], Literal(_B), a_chain[i]]))
+    gammas = [_rule(rules, [Literal(_B), a_chain[2 * i + 1], Literal(_B), b_chain[i]])
               for i in range(k)]
-    deltas, x_rule = _delta_x_rules(g, a_chain, k)
+    deltas, x_rule = _delta_x_rules(rules, a_chain, k)
     s_rhs: list = list(gammas)
     for i in range(k + 1):
         s_rhs += [deltas[i], Literal(_D)]
@@ -134,20 +124,20 @@ def small_grammar_lzmw(k: int) -> Grammar:
         p *= 2
     s_rhs += [Literal(_D), Literal(_C)]
     s_rhs += [x_rule] * (k // 2)
-    return g.grammar(g.rule(s_rhs))
+    return Grammar(rules, _rule(rules, s_rhs))
 
 
 def small_grammar_lzd(k: int) -> Grammar:
     _check_k(k, 4)
-    g = _Builder()
-    a_chain = [g.rule([])]
-    c_chain = [g.rule([])]
-    d_chain = [g.rule([])]
+    rules: dict[int, tuple] = {}
+    a_chain = [_rule(rules, [])]
+    c_chain = [_rule(rules, [])]
+    d_chain = [_rule(rules, [])]
     for i in range(1, k + 3):
-        a_chain.append(g.rule([a_chain[i - 1], Literal(_A)]))
-        c_chain.append(g.rule([c_chain[i - 1], Literal(_C)]))
-        d_chain.append(g.rule([d_chain[i - 1], Literal(_D)]))
-    deltas, x_rule = _delta_x_rules(g, a_chain, k)
+        a_chain.append(_rule(rules, [a_chain[i - 1], Literal(_A)]))
+        c_chain.append(_rule(rules, [c_chain[i - 1], Literal(_C)]))
+        d_chain.append(_rule(rules, [d_chain[i - 1], Literal(_D)]))
+    deltas, x_rule = _delta_x_rules(rules, a_chain, k)
     s_rhs: list = []
     for i in range(2, k + 1):
         s_rhs += [a_chain[i], c_chain[i]]
@@ -157,41 +147,11 @@ def small_grammar_lzd(k: int) -> Grammar:
     for i in range(k + 1):
         s_rhs += [deltas[i], d_chain[i + 2]]
     s_rhs += [x_rule] * (k // 2)
-    return g.grammar(g.rule(s_rhs))
+    return Grammar(rules, _rule(rules, s_rhs))
 
 
 # ---------------------------------------------------------------------------
 # Slow-parse families.
-
-
-@dataclass(frozen=True)
-class SlowLayout:
-    """Half-open [start, end) spans of the named regions, in text order."""
-
-    blocks: tuple
-
-
-class _SlowBuild:
-    def __init__(self, k: int):
-        self.out: list[int] = []
-        self.blocks: list[tuple[str, int, int]] = []
-        self.next_sep = k * k
-
-    def sep(self) -> list[int]:
-        sid = self.next_sep
-        self.next_sep += 1
-        return [sid]
-
-    def block(self, label: str, piece: list[int]) -> None:
-        start = len(self.out)
-        self.out += piece
-        self.blocks.append((label, start, len(self.out)))
-
-    def text(self) -> Text:
-        return make_text(self.out, self.next_sep)
-
-    def layout(self) -> SlowLayout:
-        return SlowLayout(tuple(self.blocks))
 
 
 def _wcat(lo: int, hi: int, k: int) -> list[int]:
@@ -204,8 +164,8 @@ def _w(i: int, k: int) -> list[int]:
     return _wcat(i, i, k)
 
 
-# The pieces below are shared by both slow families; each builder keeps only
-# the blocks where the two constructions differ.
+# The pieces below are shared by both slow families; each family's generator
+# keeps only the blocks where the two constructions differ.
 
 
 def _s_prime_pieces(k: int):
@@ -243,10 +203,11 @@ def _z(i: int, k: int) -> list[int]:
     return _w(i, k)[1:] + _wcat(i + 1, k, k) + _wcat(1, k, k) * (k - 2) + _wcat(1, i, k)
 
 
-def _build_lzd_slow(k: int) -> _SlowBuild:
-    _check_k(k, 8)
-    b = _SlowBuild(k)
-    b.block("s_prime", list(chain.from_iterable(_s_prime_pieces(k))))
+# A slow family is one generator of its blocks, (label, piece) in text order;
+# each call of `sep()` hands out a fresh separator id.  Its text and its
+# layout are both read from that generator.
+def _lzd_slow_blocks(k: int, sep):
+    yield "s_prime", list(chain.from_iterable(_s_prime_pieces(k)))
     for i in range(1, k - 1):
         x: list[int] = []
         for j in range(2, k + 1):
@@ -254,59 +215,76 @@ def _build_lzd_slow(k: int) -> _SlowBuild:
                 x += _u(i, j, k)
             else:
                 x += _u(i - 1, j, k) + _w(i - 1, k)[j:] + _u(i, j, k)
-            x += b.sep() + b.sep()
+            x += [sep(), sep()]
         for j in range(2, k + 1):
             stem = _v_stem(i, j, k)
-            x += stem + stem + _w(k, k)[:j - 1] + b.sep() + b.sep()
-        b.block(f"x{i}", x)
-        b.block(f"z{i}", _z(i, k))
-        b.block(f"sep{i}", b.sep() + b.sep())
-    return b
+            x += stem + stem + _w(k, k)[:j - 1] + [sep(), sep()]
+        yield f"x{i}", x
+        yield f"z{i}", _z(i, k)
+        yield f"sep{i}", [sep(), sep()]
 
 
-def _build_lzmw_slow(k: int) -> _SlowBuild:
-    _check_k(k, 8)
-    b = _SlowBuild(k)
+def _lzmw_slow_blocks(k: int, sep):
     s_prime: list[int] = []
     for piece in _s_prime_pieces(k):
-        s_prime += piece + b.sep()
-    b.block("s_prime", s_prime)
+        s_prime += piece + [sep()]
+    yield "s_prime", s_prime
 
     y: list[int] = []
     for j in range(2, k + 1):
-        y += _w(k, k)[j - 1:] + _w(1, k) + b.sep()
-        y += _u(2, j, k) + b.sep()
-    b.block("y", y)
+        y += _w(k, k)[j - 1:] + _w(1, k) + [sep()]
+        y += _u(2, j, k) + [sep()]
+    yield "y", y
 
     for i in range(4, k - 1, 2):
         x: list[int] = []
         for j in range(2, k):
-            x += _w(i - 2, k)[j:] + _w(i - 1, k)[:j] + b.sep()
-            x += _w(i - 1, k)[j:] + _w(i, k)[:j] + b.sep()
+            x += _w(i - 2, k)[j:] + _w(i - 1, k)[:j] + [sep()]
+            x += _w(i - 1, k)[j:] + _w(i, k)[:j] + [sep()]
         for j in range(2, k + 1):
-            x += _u(i - 2, j, k) + _w(i - 2, k)[j:] + _w(i - 1, k)[:j] + b.sep()
+            x += _u(i - 2, j, k) + _w(i - 2, k)[j:] + _w(i - 1, k)[:j] + [sep()]
         for j in range(2, k + 1):
             stem = _v_stem(i, j, k)
-            x += stem + b.sep() + stem + _w(k, k)[:j - 1] + b.sep()
-        b.block(f"x{i}", x)
-        b.block(f"z{i}", _z(i, k) + b.sep())
-    return b
+            x += stem + [sep()] + stem + _w(k, k)[:j - 1] + [sep()]
+        yield f"x{i}", x
+        yield f"z{i}", _z(i, k) + [sep()]
+
+
+def _slow_text(blocks, k: int) -> Text:
+    """The pieces joined; the bound is the first separator id not used."""
+    _check_k(k, 8)
+    seps = count(k * k)
+    out: list[int] = []
+    for _, piece in blocks(k, seps.__next__):
+        out += piece
+    return make_text(out, next(seps))
+
+
+def _slow_layout(blocks, k: int) -> tuple:
+    """Half-open (label, start, end) spans of the blocks, in text order."""
+    _check_k(k, 8)
+    spans: list[tuple[str, int, int]] = []
+    end = 0
+    for label, piece in blocks(k, count(k * k).__next__):
+        spans.append((label, end, end + len(piece)))
+        end += len(piece)
+    return tuple(spans)
 
 
 def gen_lzd_slow(k: int) -> Text:
-    return _build_lzd_slow(k).text()
+    return _slow_text(_lzd_slow_blocks, k)
 
 
 def gen_lzmw_slow(k: int) -> Text:
-    return _build_lzmw_slow(k).text()
+    return _slow_text(_lzmw_slow_blocks, k)
 
 
-def lzd_slow_layout(k: int) -> SlowLayout:
-    return _build_lzd_slow(k).layout()
+def lzd_slow_layout(k: int) -> tuple:
+    return _slow_layout(_lzd_slow_blocks, k)
 
 
-def lzmw_slow_layout(k: int) -> SlowLayout:
-    return _build_lzmw_slow(k).layout()
+def lzmw_slow_layout(k: int) -> tuple:
+    return _slow_layout(_lzmw_slow_blocks, k)
 
 
 # ---------------------------------------------------------------------------

@@ -111,10 +111,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    _, natural_scheme, _ = FAMILIES[args.family]
-    scheme = Scheme(args.scheme) if args.scheme else natural_scheme
     if args.kmin > args.kmax:
         raise CliError("kmin must not exceed kmax", _USAGE_ERROR)
+    scheme = Scheme(args.scheme) if args.scheme else None  # the family's own
     try:
         records = run_bench(args.family, args.algo, args.kmin, args.kmax,
                             seed=args.seed, scheme=scheme, p=_modulus())

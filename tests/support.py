@@ -63,6 +63,19 @@ def random_text(rng: random.Random, n: int, sigma: int) -> Text:
     return make_text([rng.randrange(sigma) for _ in range(n)], sigma)
 
 
+class CountingSource:
+    """Unsized iterable that records how many symbols were pulled from it."""
+
+    def __init__(self, syms):
+        self.syms = tuple(syms)
+        self.count = 0
+
+    def __iter__(self):
+        for s in self.syms:
+            self.count += 1
+            yield s
+
+
 # Every parsing produced anywhere in the suite flows through here; the
 # distinctness invariants are asserted at registration time, so a violation
 # fails the test that produced the parsing, not a later audit.

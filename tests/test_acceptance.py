@@ -39,6 +39,7 @@ from lzgram.model import (
 )
 
 from support import (
+    CountingSource,
     EX1_LZD,
     EX1_LZMW,
     EX1_TEXT,
@@ -59,20 +60,6 @@ def _report(capsys, num: int, ok: bool, what: str) -> None:
 
 def _bits(binary: str) -> list:
     return [int(ch) for ch in binary]
-
-
-class CountingSource:
-    def __init__(self, syms):
-        self.syms = tuple(syms)
-        self.count = 0
-
-    def __len__(self):
-        return len(self.syms)
-
-    def __iter__(self):
-        for s in self.syms:
-            self.count += 1
-            yield s
 
 
 def test_criterion_1_worked_example(capsys):
@@ -214,7 +201,7 @@ def test_criterion_4_naive_superlinear_growth(capsys):
         gen, scheme, _ = FAMILIES[fam]
         res = parse_naive(gen(k), scheme, collect_trace=True)
         register_parsing(f"c4-{fam}", res.parsing)
-        zblocks = [(lab, s, e) for lab, s, e in layout_fn(k).blocks
+        zblocks = [(lab, s, e) for lab, s, e in layout_fn(k)
                    if lab.startswith("z")]
         per = {lab: 0 for lab, _, _ in zblocks}
         outside = 0

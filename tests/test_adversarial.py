@@ -1,5 +1,6 @@
 """Generator families: frozen prefixes, witness grammars, reductions."""
 
+import hashlib
 import random
 
 import pytest
@@ -31,6 +32,11 @@ from lzgram.adversarial import (
 )
 
 from support import random_text, register_parsing
+
+
+def digest(obj) -> str:
+    """First 16 hex digits of the SHA-256 of repr(obj): pins content."""
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
 
 def test_parameter_validation():
@@ -69,6 +75,21 @@ def test_slow_lengths_frozen():
     assert len(gen_lzd_slow(16)) == 233083
     assert len(gen_lzmw_slow(8)) == 7870
     assert len(gen_lzmw_slow(16)) == 134159
+    # digests of (symbols, bound) and of the layout's spans: content, not
+    # only lengths
+    pins = {
+        (gen_lzd_slow, lzd_slow_layout): {
+            8: ("f8d523a309a959cc", "0ee065f0f9daf8fe"),
+            16: ("9923acd27bf0efc0", "45fdfb6294c35ab6")},
+        (gen_lzmw_slow, lzmw_slow_layout): {
+            8: ("8232f193328e1aa8", "2f5f1e73e9a04005"),
+            16: ("e513ad3ba75d84e0", "eb5acff7d3f20c3b")},
+    }
+    for (gen, layout_fn), by_k in pins.items():
+        for k, (text_pin, layout_pin) in by_k.items():
+            t = gen(k)
+            assert digest((t.symbols, t.alphabet_bound)) == text_pin
+            assert digest(tuple(layout_fn(k))) == layout_pin
 
 
 def test_slow_alphabet_layout():
@@ -81,11 +102,16 @@ def test_slow_alphabet_layout():
         assert set(letters) == set(range(k * k))
         # separators pairwise distinct: each id occurs exactly once
         assert len(seps) == len(set(seps))
-        blocks = layout_fn(k).blocks
+        blocks = layout_fn(k)
         assert blocks[0][0] == "s_prime"
         assert blocks[-1][2] == len(t)
         for _, start, end in blocks:
             assert 0 <= start < end <= len(t)
+        # the spans tile the text, under distinct labels
+        assert blocks[0][1] == 0
+        for (_, _, end), (_, start, _) in zip(blocks, blocks[1:]):
+            assert start == end
+        assert len({label for label, _, _ in blocks}) == len(blocks)
 
 
 def test_approx_phrase_counts_frozen():
@@ -106,6 +132,16 @@ def test_witness_grammars_expand_exactly():
         g = small_grammar_lzmw(k)
         validate_grammar(g)
         assert expand_grammar(g) == gen_lzmw_approx(k).symbols
+    # digests of the sorted productions, rule ids included
+    pins = {
+        small_grammar_lzd: {4: "078dba3e5b9dcc63", 8: "edf1b0295644f911",
+                            16: "e9080ae7c1a58dbc"},
+        small_grammar_lzmw: {4: "9de272f824c65c6f", 8: "1641930a27458268",
+                             16: "28c143da42c24e79"},
+    }
+    for builder, by_k in pins.items():
+        for k, pin in by_k.items():
+            assert digest(sorted(builder(k).productions.items())) == pin
 
 
 def test_witness_growth_linear():

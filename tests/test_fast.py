@@ -24,20 +24,8 @@ from lzgram.adversarial import FAMILIES, binary_reduce, gen_lzd_slow
 from lzgram.model import phrase_ends
 
 from support import (EX1_LZD, EX1_LZMW, EX1_TEXT, PINNED_FAST_STATS,
-                     engine_parse, random_text, register_parsing, to_symbols)
-
-
-class CountingSource:
-    """Iterable that records how many symbols were pulled from it."""
-
-    def __init__(self, syms):
-        self.syms = tuple(syms)
-        self.count = 0
-
-    def __iter__(self):
-        for s in self.syms:
-            self.count += 1
-            yield s
+                     CountingSource, engine_parse, random_text,
+                     register_parsing, to_symbols)
 
 
 def test_example_1_both_schemes():

@@ -201,7 +201,7 @@ def test_lzd_slow_dictionary_after_priming():
     k = 8
     t = gen_lzd_slow(k)
     layout = lzd_slow_layout(k)
-    label, start, end = layout.blocks[0]
+    label, start, end = layout[0]
     assert label == "s_prime" and start == 0
     parsing = parse_reference(t, Scheme.LZD)
     exps = phrase_expansions(parsing)
