@@ -6,7 +6,7 @@ import math
 import time
 from dataclasses import asdict, dataclass
 
-from .adversarial import FAMILIES
+from .adversarial import FAMILIES, ParameterError
 from .fast import parse_fast, parse_las_vegas_detailed
 from .hashing import MERSENNE61, HashConfig
 from .model import Scheme, parse_reference
@@ -80,7 +80,7 @@ def run_bench(family: str, algo: str, kmin: int, kmax: int, seed: int = 0,
               scheme: Scheme | None = None, p: int = MERSENNE61) -> list[BenchRecord]:
     """One record per k = kmin, 2*kmin, ..., kmax."""
     if kmin > kmax:
-        raise ValueError("kmin must not exceed kmax")
+        raise ParameterError("kmin must not exceed kmax")
     records = []
     k = kmin
     while k <= kmax:

@@ -1,10 +1,11 @@
 """Command-line front end: gen, parse, verify, bench, fit.
 
 Exit codes: 0 success / verification passed, 1 runtime failure (I/O,
-verification mismatch), 2 usage or malformed input.  The fingerprint
-modulus can be overridden with the LZGRAM_MODULUS environment variable, a
-prime in [3, 2^64), which exists to make hash collisions observable at tiny
-moduli.
+verification mismatch, Las-Vegas exhaustion), 2 usage or malformed input.
+`main` maps the library's exceptions to 1 and 2; any other exception is a
+fault and keeps its traceback.  The fingerprint modulus can be overridden
+with the LZGRAM_MODULUS environment variable, a prime in [3, 2^64), which
+exists to make hash collisions observable at tiny moduli.
 """
 
 from __future__ import annotations
@@ -22,14 +23,9 @@ from .model import Scheme, verify_parsing
 
 MODULUS_ENV = "LZGRAM_MODULUS"
 
-_RUN_ERROR = 1
-_USAGE_ERROR = 2
 
-
-class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+class UsageError(Exception):
+    """A request only the command line refuses; it exits 2."""
 
 
 def _modulus() -> int:
@@ -39,50 +35,36 @@ def _modulus() -> int:
     try:
         return HashConfig(p=int(raw)).p
     except ValueError:
-        raise CliError(f"{MODULUS_ENV} must be a prime in [3, 2^64), "
-                       f"got {raw!r}", _USAGE_ERROR) from None
+        raise UsageError(f"{MODULUS_ENV} must be a prime in [3, 2^64), "
+                         f"got {raw!r}") from None
+
+
+def _load(read, path: str, what: str):
+    try:
+        return read(path)
+    except FormatError as e:
+        raise UsageError(f"malformed {what} file {path}: {e}") from None
 
 
 def _read_text(path: str):
-    try:
-        text = read_text_file(path)
-    except OSError as e:
-        raise CliError(f"cannot read {path}: {e}", _RUN_ERROR) from None
-    except FormatError as e:
-        raise CliError(f"malformed text file {path}: {e}", _USAGE_ERROR) from None
+    text = _load(read_text_file, path, "text")
     if len(text) == 0:
-        raise CliError(f"empty input: {path}", _USAGE_ERROR)
+        raise UsageError(f"empty input: {path}")
     return text
 
 
 def cmd_gen(args) -> int:
     gen, _, _ = FAMILIES[args.family]
-    try:
-        text = gen(args.k)
-    except ParameterError as e:
-        raise CliError(str(e), _USAGE_ERROR) from None
-    try:
-        write_text_file(args.out, text, format=args.format)
-    except OSError as e:
-        raise CliError(f"cannot write {args.out}: {e}", _RUN_ERROR) from None
-    except FormatError as e:
-        raise CliError(f"cannot write {args.out}: {e}", _USAGE_ERROR) from None
+    write_text_file(args.out, gen(args.k), format=args.format)
     return 0
 
 
 def cmd_parse(args) -> int:
     text = _read_text(args.infile)
     scheme = Scheme(args.scheme)
-    p = _modulus()
-    try:
-        parsing, counters = PARSERS[args.algo](text, scheme, args.seed, p)
-    except RuntimeError as e:  # no Las-Vegas attempt verified
-        raise CliError(str(e), _RUN_ERROR) from None
+    parsing, counters = PARSERS[args.algo](text, scheme, args.seed, _modulus())
     if args.out is not None:
-        try:
-            write_parsing_file(args.out, parsing)
-        except OSError as e:
-            raise CliError(f"cannot write {args.out}: {e}", _RUN_ERROR) from None
+        write_parsing_file(args.out, parsing)
     if args.stats:
         print(f"n={len(text)}")
         print(f"z={len(parsing)}")
@@ -93,41 +75,24 @@ def cmd_parse(args) -> int:
 
 def cmd_verify(args) -> int:
     text = _read_text(args.infile)
-    try:
-        parsing = read_parsing_file(args.parsing)
-    except OSError as e:
-        raise CliError(f"cannot read {args.parsing}: {e}", _RUN_ERROR) from None
-    except FormatError as e:
-        raise CliError(f"malformed parsing file {args.parsing}: {e}",
-                       _USAGE_ERROR) from None
+    parsing = _load(read_parsing_file, args.parsing, "parsing")
     scheme = Scheme(args.scheme)
     if parsing.scheme is not scheme:
-        raise CliError(f"parsing file is {parsing.scheme.value}, "
-                       f"asked to verify as {scheme.value}", _USAGE_ERROR)
+        raise UsageError(f"parsing file is {parsing.scheme.value}, "
+                         f"asked to verify as {scheme.value}")
     if verify_parsing(text, parsing, strict=args.strict):
         return 0
     print("verification FAILED", file=sys.stderr)
-    return _RUN_ERROR
+    return 1
 
 
 def cmd_bench(args) -> int:
-    if args.kmin > args.kmax:
-        raise CliError("kmin must not exceed kmax", _USAGE_ERROR)
     scheme = Scheme(args.scheme) if args.scheme else None  # the family's own
-    try:
-        records = run_bench(args.family, args.algo, args.kmin, args.kmax,
-                            seed=args.seed, scheme=scheme, p=_modulus())
-    except ParameterError as e:
-        raise CliError(str(e), _USAGE_ERROR) from None
-    except RuntimeError as e:  # no Las-Vegas attempt verified
-        raise CliError(str(e), _RUN_ERROR) from None
+    records = run_bench(args.family, args.algo, args.kmin, args.kmax,
+                        seed=args.seed, scheme=scheme, p=_modulus())
     lines = [CSV_HEADER] + [r.csv_row() for r in records]
-    data = "\n".join(lines) + "\n"
-    try:
-        with open(args.csv, "w", encoding="ascii") as f:
-            f.write(data)
-    except OSError as e:
-        raise CliError(f"cannot write {args.csv}: {e}", _RUN_ERROR) from None
+    with open(args.csv, "w", encoding="ascii") as f:
+        f.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -135,14 +100,12 @@ def cmd_fit(args) -> int:
     try:
         with open(args.csv, encoding="ascii") as f:
             lines = f.readlines()
-    except OSError as e:
-        raise CliError(f"cannot read {args.csv}: {e}", _RUN_ERROR) from None
     except UnicodeDecodeError as e:
-        raise CliError(f"malformed CSV {args.csv}: {e}", _USAGE_ERROR) from None
+        raise UsageError(f"malformed CSV {args.csv}: {e}") from None
     try:
         fit = fit_csv(lines, args.x, args.y)
     except ValueError as e:
-        raise CliError(str(e), _USAGE_ERROR) from None
+        raise UsageError(str(e)) from None
     print(f"slope={fit.slope:.6f}")
     print(f"r2={fit.r2:.6f}")
     return 0
@@ -205,9 +168,13 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except CliError as e:
+    # the library's only RuntimeError is the Las-Vegas exhaustion
+    except (OSError, RuntimeError) as e:
         print(f"lzgram: {e}", file=sys.stderr)
-        return e.code
+        return 1
+    except (UsageError, FormatError, ParameterError) as e:
+        print(f"lzgram: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@
 import pytest
 
 from lzgram import CSV_HEADER, fit_exponent, run_bench
+from lzgram.adversarial import ParameterError
 from lzgram.bench import fit_csv, parse_csv, run_cell
 
 
@@ -18,6 +19,11 @@ def test_run_bench_rows():
         assert r.z >= 1
         assert r.symbol_comparisons > 0 and r.edges_traversed > 0
         assert r.wall_nanos > 0
+
+
+def test_run_bench_rejects_kmin_above_kmax():
+    with pytest.raises(ParameterError, match="kmin must not exceed kmax"):
+        run_bench("lzd-approx", "naive", 16, 4)
 
 
 def test_non_naive_counters_are_zero():

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from lzgram import CSV_HEADER, Scheme
+from lzgram.bench import PARSERS
 from lzgram.cli import main
 from lzgram.formats import load_parsing, write_text_file
 
@@ -295,3 +296,56 @@ def test_unknown_arguments_exit_2(capsys):
     assert main(["parse", "--scheme", "lzd"]) == 2  # missing required
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+GOOD_EX1_PARSING = b"LZD 5 13\nL:0 L:1\nL:1 L:0\nP:1 P:1\nL:0 P:1\nL:0 L:2\n"
+BENCH = ["bench", "--family", "lzd-slow", "--algo", "naive"]
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    (BENCH + ["--kmin", "16", "--kmax", "8", "--csv", "{tmp}/b.csv"],
+     2, "kmin must not exceed kmax"),
+    (BENCH + ["--kmin", "6", "--kmax", "8", "--csv", "{tmp}/b.csv"],
+     2, "k must be"),
+    (["gen", "--family", "lzd-slow", "--k", "8", "--out", "{tmp}/no/t.sym"],
+     1, "{tmp}/no/t.sym"),
+    (["parse", "--scheme", "lzd", "--algo", "reference", "--in", "{ex1}",
+      "--out", "{tmp}/no/p.lzd"], 1, "{tmp}/no/p.lzd"),
+    (BENCH + ["--kmin", "8", "--kmax", "8", "--csv", "{tmp}/no/b.csv"],
+     1, "{tmp}/no/b.csv"),
+    (["parse", "--scheme", "lzd", "--algo", "reference", "--in", "{tmp}"],
+     1, "{tmp}"),
+    (["verify", "--scheme", "lzd", "--in", "{ex1}",
+      "--parsing", "{tmp}/none.lzd"], 1, "{tmp}/none.lzd"),
+    (["verify", "--scheme", "lzd", "--in", "{tmp}/none.sym",
+      "--parsing", "{tmp}/ex1.lzd"], 1, "{tmp}/none.sym"),
+    (["fit", "--csv", "{tmp}/header.csv", "--y", "z"],
+     2, "unexpected CSV header"),
+    (["fit", "--csv", "{tmp}/ok.csv", "--y", "nosuch"],
+     2, "no such column 'nosuch'"),
+    (["fit", "--csv", "{tmp}/empty.csv", "--y", "z"], 2, "empty CSV"),
+])
+def test_failure_exit_codes(tmp_path, capsys, argv, code, err):
+    # each failure names its cause, and I/O failures the file they hit
+    ex1 = write_ex1(tmp_path)
+    (tmp_path / "ex1.lzd").write_bytes(GOOD_EX1_PARSING)
+    (tmp_path / "header.csv").write_text("k,n,z\n8,10,3\n16,20,5\n32,40,9\n")
+    write_fit_csv(tmp_path / "ok.csv", [(10, 3), (20, 5), (40, 9)])
+    (tmp_path / "empty.csv").write_bytes(b"")
+    fill = {"tmp": str(tmp_path), "ex1": ex1}
+    assert main([a.format(**fill) for a in argv]) == code
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("lzgram: ") and err.format(**fill) in stderr
+    assert not (tmp_path / "no").exists()
+
+
+def test_faults_are_not_exit_codes(tmp_path, monkeypatch):
+    # an exception outside the two exit-code classes is a fault: it keeps
+    # its traceback instead of becoming a usage or runtime exit code
+    def boom(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setitem(PARSERS, "reference", boom)
+    with pytest.raises(ValueError, match="boom"):
+        main(["parse", "--scheme", "lzd", "--algo", "reference",
+              "--in", write_ex1(tmp_path)])
