@@ -16,12 +16,16 @@ always a legal one-symbol match (its first occurrence starts a part).
 The reference parsers here are deliberately plain: a dictionary of expanded
 strings bucketed by length, where a lookup tries, longest first, the lengths
 of the strings that start with the symbol under the cursor and compares
-whole tuples.  They are the correctness oracle for the trie-based and
-streaming parsers.
+whole strings.  Each parse packs the text once into one `bytes` buffer of
+fixed-width symbols (1 byte while the alphabet bound is at most 256, 2 up
+to 65,536, else 4), and a string is keyed by its byte slice of that buffer,
+so a lookup copies and hashes bytes, not tuples of ints.  They are the
+correctness oracle for the trie-based and streaming parsers.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
@@ -92,38 +96,55 @@ class Parsing:
 
 
 class _Dictionary:
-    """Expanded dictionary strings bucketed by length.
+    """Dictionary strings bucketed by length, keyed by byte slices of a text.
 
-    A string that prefixes s[pos:] starts with s[pos], so each first symbol
-    keeps the ascending lengths of the stored strings that start with it,
-    and a lookup scans only those, longest first.
+    The text is packed once into `buf`, `w` bytes per symbol: `bytes` while
+    its alphabet bound is at most 256, an `array` of "H" up to 65,536, else
+    of "I".  Within one buffer every symbol has the same width, so two spans
+    have equal keys iff they spell the same string.  A string that prefixes
+    s[pos:] starts with s[pos], so each first symbol keeps the ascending
+    lengths (in symbols) of the stored strings that start with it, and a
+    lookup scans only those, longest first.
     """
 
-    def __init__(self):
-        self.by_len: dict[int, dict[tuple, object]] = {}
+    def __init__(self, text: Text):
+        if text.alphabet_bound <= 256:
+            self.buf, self.w = bytes(text.symbols), 1
+        else:
+            code = "H" if text.alphabet_bound <= 1 << 16 else "I"
+            packed = array(code, text.symbols)
+            assert code == "H" or packed.itemsize == 4  # MAX_SYMBOL is 2**32
+            self.buf, self.w = packed.tobytes(), packed.itemsize
+        self.by_len: dict[int, dict[bytes, object]] = {}
         self.lengths_by_first: dict[int, list[int]] = {}  # each ascending
 
-    def add(self, expansion: tuple, ref) -> None:
-        length = len(expansion)
+    def add(self, start: int, end: int, first: int, ref) -> None:
+        """Store the text's span [start, end), whose first symbol is
+        `first`, under ref."""
+        length = end - start
+        key = self.buf[start * self.w:end * self.w]
         bucket = self.by_len.get(length)
         if bucket is None:
             bucket = self.by_len[length] = {}
-        elif expansion in bucket:
+        elif key in bucket:
             return  # first insertion wins (canonical ref)
-        bucket[expansion] = ref
-        lengths = self.lengths_by_first.get(expansion[0])
+        bucket[key] = ref
+        lengths = self.lengths_by_first.get(first)
         if lengths is None:
-            self.lengths_by_first[expansion[0]] = [length]
+            self.lengths_by_first[first] = [length]
         elif length not in lengths:
             insort(lengths, length)
 
     def longest_match(self, s: tuple, pos: int):
-        """Longest dictionary string that prefixes s[pos:], or None."""
+        """Longest stored string that prefixes s[pos:], or None.  s is a
+        prefix of the packed text."""
         remaining = len(s) - pos
+        buf, w = self.buf, self.w
+        at = pos * w
         for length in reversed(self.lengths_by_first.get(s[pos], ())):
             if length > remaining:
                 continue
-            ref = self.by_len[length].get(s[pos:pos + length])
+            ref = self.by_len[length].get(buf[at:at + length * w])
             if ref is not None:
                 return ref, length
         return None
@@ -132,7 +153,7 @@ class _Dictionary:
 def lzd_parse_reference(text: Text) -> Parsing:
     s = text.symbols
     n = len(s)
-    d = _Dictionary()
+    d = _Dictionary(text)
     phrases: list[tuple] = []
     pos = 0
 
@@ -143,10 +164,11 @@ def lzd_parse_reference(text: Text) -> Parsing:
         # first occurrence of s[pos]: the symbol itself is the part, and
         # from now on a dictionary string
         part = Literal(s[pos])
-        d.add((part.symbol,), part)
+        d.add(pos, pos + 1, part.symbol, part)
         return part, 1
 
     while pos < n:
+        start = pos
         first, flen = next_part()
         pos += flen
         if pos == n:
@@ -155,15 +177,15 @@ def lzd_parse_reference(text: Text) -> Parsing:
         second, slen = next_part()
         pos += slen
         phrases.append((first, second))
-        d.add(s[pos - flen - slen:pos], len(phrases))
+        d.add(start, pos, s[start], len(phrases))
     return Parsing(Scheme.LZD, tuple(phrases), n)
 
 
 def lzmw_parse_reference(text: Text) -> Parsing:
     s = text.symbols
     n = len(s)
-    d = _Dictionary()
-    prev: tuple = ()  # the previous phrase's expansion
+    d = _Dictionary(text)
+    prev = 0  # the previous phrase's start
     phrases: list[Literal | int] = []
     pos = 0
     while pos < n:
@@ -172,16 +194,15 @@ def lzmw_parse_reference(text: Text) -> Parsing:
             # first occurrence of s[pos]: as in the LZD oracle
             phrase: Literal | int = Literal(s[pos])
             plen = 1
-            d.add((phrase.symbol,), phrase)
+            d.add(pos, pos + 1, phrase.symbol, phrase)
         else:
             phrase, plen = m
-        pos += plen
         phrases.append(phrase)
-        cur = s[pos - plen:pos]
         if len(phrases) >= 2:
             # the pair (p_(i-1), p_i) becomes available to phrase i+1
-            d.add(prev + cur, len(phrases) - 1)
-        prev = cur
+            d.add(prev, pos + plen, s[prev], len(phrases) - 1)
+        prev = pos
+        pos += plen
     return Parsing(Scheme.LZMW, tuple(phrases), n)
 
 

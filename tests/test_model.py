@@ -87,32 +87,71 @@ def _brute_longest_match(stored: dict, s: tuple, pos: int):
     return best
 
 
-@pytest.mark.parametrize("sigma", [1, 2, 4, 256])
+def _alphabet(bound: int) -> tuple:
+    """The symbols a test text over [0, bound) draws from: all of them up to
+    256, else 0, bound - 1 and those of 1, 257 and 65,537 below the bound,
+    which share their low byte."""
+    if bound <= 256:
+        return tuple(range(bound))
+    return tuple(sorted({0, bound - 1} | {c for c in (1, 257, 65537) if c < bound}))
+
+
+@pytest.mark.parametrize("sigma", [1, 2, 4, 256, 257, 65536, 65537, 1 << 32])
 def test_longest_match_equals_brute_force(sigma):
+    """The dictionary stores spans of one text; a string the test text does
+    not hold is appended to a scratch copy of it and stored as a span of
+    that copy, which lookups in the test text never reach."""
     rng = random.Random(7000 + sigma)
+    alphabet = _alphabet(sigma)
     readded = 0
     for _ in range(40):
-        s = random_text(rng, rng.randrange(1, 120), sigma).symbols
-        n = len(s)
-        d, stored = _Dictionary(), {}  # stored: the first ref of each string
+        n = rng.randrange(1, 120)
+        s = tuple(rng.choice(alphabet) for _ in range(n))
+        scratch = list(s)
+        spans, stored = [], {}  # stored: the first ref of each string
         for i in range(rng.randrange(1, 60)):
             kind = rng.random()
             if kind < 0.2 and stored:  # again, under a new ref
                 string = rng.choice(list(stored))
                 readded += 1
             elif kind < 0.4:  # runs one symbol past the end of the text
-                string = s[rng.randrange(n):] + (rng.randrange(sigma),)
+                string = s[rng.randrange(n):] + (rng.choice(alphabet),)
             elif kind < 0.5:  # random, most likely nowhere in the text
-                string = tuple(rng.randrange(sigma)
+                string = tuple(rng.choice(alphabet)
                                for _ in range(rng.randrange(1, 8)))
             else:
                 a = rng.randrange(n)
-                string = s[a:rng.randrange(a + 1, n + 1)]
-            d.add(string, ("ref", i))
+                b = rng.randrange(a + 1, n + 1)
+                spans.append((a, b, ("ref", i)))
+                stored.setdefault(s[a:b], ("ref", i))
+                continue
+            # off the text, or a fresh copy of a stored string
+            spans.append((len(scratch), len(scratch) + len(string), ("ref", i)))
+            scratch.extend(string)
             stored.setdefault(string, ("ref", i))
+        d = _Dictionary(make_text(scratch, sigma))
+        for a, b, ref in spans:
+            d.add(a, b, scratch[a], ref)
         for pos in range(n):
             assert d.longest_match(s, pos) == _brute_longest_match(stored, s, pos)
     assert readded > 0
+
+
+@pytest.mark.parametrize("bound, width", [(256, 1), (257, 2), (65536, 2),
+                                          (65537, 4), (1 << 32, 4)])
+def test_reference_agrees_with_naive_at_width_boundaries(bound, width):
+    """Either side of each packing width, texts holding 0, bound - 1 and
+    symbols that share a low byte parse as the naive parser does."""
+    rng = random.Random(bound)
+    alphabet = _alphabet(bound)
+    assert {0, bound - 1} <= set(alphabet)
+    for n in (1, 2, 50, 400):
+        text = make_text([rng.choice(alphabet) for _ in range(n)], bound)
+        assert _Dictionary(text).w == width
+        for scheme in Scheme:
+            ref = parse_reference(text, scheme)
+            assert parse_naive(text, scheme).parsing == ref
+            assert expand_parsing(ref) == text.symbols
 
 
 def test_reference_and_strict_verify_at_k32(tmp_path):
