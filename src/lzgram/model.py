@@ -16,10 +16,8 @@ always a legal one-symbol match (its first occurrence starts a part).
 The reference parsers here are deliberately plain: a dictionary of expanded
 strings bucketed by length, where a lookup tries, longest first, the lengths
 of the strings that start with the symbol under the cursor and compares
-whole strings.  Each parse packs the text once into one `bytes` buffer of
-fixed-width symbols (1 byte while the alphabet bound is at most 256, 2 up
-to 65,536, else 4), and a string is keyed by its byte slice of that buffer,
-so a lookup copies and hashes bytes, not tuples of ints.  They are the
+whole strings as byte slices of the text, packed once per parse at 1, 2 or
+4 bytes per symbol (alphabet bound <= 256, <= 65,536, above).  They are the
 correctness oracle for the trie-based and streaming parsers.
 """
 
