@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import statistics
 import time
 from dataclasses import asdict, dataclass
 
@@ -112,16 +113,12 @@ def fit_exponent(points) -> ExponentFit:
         raise ValueError("values must be positive for a log-log fit")
     lx = [math.log(x) for x in xs]
     ly = [math.log(y) for y in ys]
-    mx = sum(lx) / len(lx)
-    my = sum(ly) / len(ly)
-    sxx = sum((x - mx) ** 2 for x in lx)
-    if sxx == 0:
+    if min(lx) == max(lx):
         raise ValueError("x values must vary")
-    slope = sum((x - mx) * (y - my) for x, y in zip(lx, ly)) / sxx
-    ss_res = sum((y - my - slope * (x - mx)) ** 2 for x, y in zip(lx, ly))
-    ss_tot = sum((y - my) ** 2 for y in ly)
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return ExponentFit(slope, r2)
+    if min(ly) == max(ly):  # distinct large ys can share one log
+        return ExponentFit(0.0, 1.0)
+    return ExponentFit(statistics.linear_regression(lx, ly).slope,
+                       statistics.correlation(lx, ly) ** 2)
 
 
 def parse_csv(lines) -> list[dict]:

@@ -13,12 +13,12 @@ The two schemes parse a text left to right into phrases:
 A symbol counts as seen once it has been read; the symbol under the cursor is
 always a legal one-symbol match (its first occurrence starts a part).
 
-The reference parsers here are deliberately plain: a dictionary of expanded
-strings bucketed by length, where a lookup tries, longest first, the lengths
-of the strings that start with the symbol under the cursor and compares
-whole strings as byte slices of the text, packed once per parse at 1, 2 or
-4 bytes per symbol (alphabet bound <= 256, <= 65,536, above).  They are the
-correctness oracle for the trie-based and streaming parsers.
+The reference parsers here are deliberately plain: one map from byte slices
+of the text, packed once per parse at 1, 2 or 4 bytes per symbol (alphabet
+bound <= 256, <= 65,536, above), to the LZD phrase or LZMW pair strings
+entered so far.  A part is the longest of them that prefixes the rest of the
+text, or else the symbol under the cursor.  They are the correctness oracle
+for the trie-based and streaming parsers.
 """
 
 from __future__ import annotations
@@ -94,7 +94,8 @@ class Parsing:
 
 
 class _Dictionary:
-    """Dictionary strings bucketed by length, keyed by byte slices of a text.
+    """The phrase or pair strings a scheme has entered, in one map keyed by
+    byte slices of a text.
 
     The text is packed once into `buf`, `w` bytes per symbol: `bytes` while
     its alphabet bound is at most 256, an `array` of "H" up to 65,536, else
@@ -102,7 +103,8 @@ class _Dictionary:
     have equal keys iff they spell the same string.  A string that prefixes
     s[pos:] starts with s[pos], so each first symbol keeps the ascending
     lengths (in symbols) of the stored strings that start with it, and a
-    lookup scans only those, longest first.
+    lookup scans only those, longest first.  Every stored string has at
+    least two symbols; a one-symbol part is the symbol under the cursor.
     """
 
     def __init__(self, text: Text):
@@ -113,39 +115,37 @@ class _Dictionary:
             packed = array(code, text.symbols)
             assert code == "H" or packed.itemsize == 4  # MAX_SYMBOL is 2**32
             self.buf, self.w = packed.tobytes(), packed.itemsize
-        self.by_len: dict[int, dict[bytes, object]] = {}
+        self.refs: dict[bytes, object] = {}
         self.lengths_by_first: dict[int, list[int]] = {}  # each ascending
 
     def add(self, start: int, end: int, first: int, ref) -> None:
         """Store the text's span [start, end), whose first symbol is
         `first`, under ref."""
-        length = end - start
         key = self.buf[start * self.w:end * self.w]
-        bucket = self.by_len.get(length)
-        if bucket is None:
-            bucket = self.by_len[length] = {}
-        elif key in bucket:
+        if key in self.refs:
             return  # first insertion wins (canonical ref)
-        bucket[key] = ref
-        lengths = self.lengths_by_first.get(first)
-        if lengths is None:
-            self.lengths_by_first[first] = [length]
-        elif length not in lengths:
-            insort(lengths, length)
+        self.refs[key] = ref
+        lengths = self.lengths_by_first.setdefault(first, [])
+        if end - start not in lengths:
+            insort(lengths, end - start)
 
     def longest_match(self, s: tuple, pos: int):
         """Longest stored string that prefixes s[pos:], or None.  s is a
         prefix of the packed text."""
         remaining = len(s) - pos
-        buf, w = self.buf, self.w
+        buf, w, refs = self.buf, self.w, self.refs
         at = pos * w
         for length in reversed(self.lengths_by_first.get(s[pos], ())):
-            if length > remaining:
-                continue
-            ref = self.by_len[length].get(buf[at:at + length * w])
-            if ref is not None:
-                return ref, length
+            if length <= remaining:
+                ref = refs.get(buf[at:at + length * w])
+                if ref is not None:
+                    return ref, length
         return None
+
+    def part(self, s: tuple, pos: int) -> tuple[Literal | int, int]:
+        """The part at pos, as (ref, length): the longest stored string that
+        prefixes s[pos:], else the symbol under the cursor."""
+        return self.longest_match(s, pos) or (Literal(s[pos]), 1)
 
 
 def lzd_parse_reference(text: Text) -> Parsing:
@@ -154,25 +154,14 @@ def lzd_parse_reference(text: Text) -> Parsing:
     d = _Dictionary(text)
     phrases: list[tuple] = []
     pos = 0
-
-    def next_part() -> tuple[Literal | int, int]:
-        m = d.longest_match(s, pos)
-        if m is not None:
-            return m
-        # first occurrence of s[pos]: the symbol itself is the part, and
-        # from now on a dictionary string
-        part = Literal(s[pos])
-        d.add(pos, pos + 1, part.symbol, part)
-        return part, 1
-
     while pos < n:
         start = pos
-        first, flen = next_part()
+        first, flen = d.part(s, pos)
         pos += flen
         if pos == n:
             phrases.append((first,))
             break
-        second, slen = next_part()
+        second, slen = d.part(s, pos)
         pos += slen
         phrases.append((first, second))
         d.add(start, pos, s[start], len(phrases))
@@ -187,14 +176,7 @@ def lzmw_parse_reference(text: Text) -> Parsing:
     phrases: list[Literal | int] = []
     pos = 0
     while pos < n:
-        m = d.longest_match(s, pos)
-        if m is None:
-            # first occurrence of s[pos]: as in the LZD oracle
-            phrase: Literal | int = Literal(s[pos])
-            plen = 1
-            d.add(pos, pos + 1, phrase.symbol, phrase)
-        else:
-            phrase, plen = m
+        phrase, plen = d.part(s, pos)
         phrases.append(phrase)
         if len(phrases) >= 2:
             # the pair (p_(i-1), p_i) becomes available to phrase i+1

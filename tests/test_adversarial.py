@@ -50,6 +50,10 @@ def test_parameter_validation():
             with pytest.raises(ParameterError):
                 gen(bad)
         gen(8)
+    with pytest.raises(ParameterError, match="block index must be >= 1"):
+        beta_block(0)
+    with pytest.raises(ParameterError, match="cannot reduce an empty text"):
+        binary_reduce(make_text([], 2), Scheme.LZD)
 
 
 def test_lzmw_approx_prefix():

@@ -59,6 +59,9 @@ def test_fit_constant_column():
     assert fit_exponent([(10, 5), (20, 5), (40, 5)]).slope == 0.0
     zero = fit_exponent([(10, 0), (20, 0), (40, 0)])
     assert zero.slope == 0.0 and zero.r2 == 1.0
+    # distinct ys whose logs round to one float are constant on the log scale
+    flat = fit_exponent([(10, 1e15), (20, 1e15 + 1), (40, 1e15 + 2)])
+    assert flat.slope == 0.0 and flat.r2 == 1.0
 
 
 def test_fit_rejects_bad_points():
@@ -82,5 +85,8 @@ def test_fit_csv():
         fit_csv(lines, "n", "bogus")
     with pytest.raises(ValueError):
         parse_csv(["wrong,header", "1,2"])
+    assert parse_csv(lines[:2] + [" \n"] + lines[2:]) == parse_csv(lines)
+    with pytest.raises(ValueError, match="bad CSV row '1,2'"):
+        parse_csv([CSV_HEADER, "1,2"])
     with pytest.raises(ValueError):
         fit_csv(lines[:3], "n", "edges")  # only two data rows

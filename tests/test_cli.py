@@ -324,6 +324,7 @@ BENCH = ["bench", "--family", "lzd-slow", "--algo", "naive"]
     (["fit", "--csv", "{tmp}/ok.csv", "--y", "nosuch"],
      2, "no such column 'nosuch'"),
     (["fit", "--csv", "{tmp}/empty.csv", "--y", "z"], 2, "empty CSV"),
+    (["fit", "--csv", "{tmp}/row.csv", "--y", "z"], 2, "bad CSV row '8,10,3'"),
 ])
 def test_failure_exit_codes(tmp_path, capsys, argv, code, err):
     # each failure names its cause, and I/O failures the file they hit
@@ -332,6 +333,7 @@ def test_failure_exit_codes(tmp_path, capsys, argv, code, err):
     (tmp_path / "header.csv").write_text("k,n,z\n8,10,3\n16,20,5\n32,40,9\n")
     write_fit_csv(tmp_path / "ok.csv", [(10, 3), (20, 5), (40, 9)])
     (tmp_path / "empty.csv").write_bytes(b"")
+    (tmp_path / "row.csv").write_text(CSV_HEADER + "\n8,10,3\n")
     fill = {"tmp": str(tmp_path), "ex1": ex1}
     assert main([a.format(**fill) for a in argv]) == code
     stderr = capsys.readouterr().err

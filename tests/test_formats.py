@@ -77,6 +77,9 @@ def test_auto_detection(tmp_path):
     small = make_text([1, 2, 3], 256)
     write_text_file(str(r), small, format="raw")
     assert read_text_file(str(r)) == small
+    with pytest.raises(ValueError, match="unknown text format 'xyz'"):
+        write_text_file(str(tmp_path / "t.xyz"), small, format="xyz")
+    assert not (tmp_path / "t.xyz").exists()
 
 
 def test_raw_file_reads_back_as_written(tmp_path):
@@ -326,6 +329,7 @@ def test_one_part_final_phrase_round_trip():
     b"LZD 1 2\nL:x L:1",
     b"LZD 1 2\nP:0 L:1",                 # P indices are 1-based
     b"LZD x 2\nL:0 L:1",
+    b"LZD 1 2\nL:\xe9 L:1",              # not ASCII
 ])
 def test_bad_parsing_files_rejected(data):
     with pytest.raises(FormatError):

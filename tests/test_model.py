@@ -302,6 +302,9 @@ def test_phrase_ops_raise_on_malformed():
     with pytest.raises(GrammarError):
         phrase_expansions(Parsing(Scheme.LZD,
                                   ((Literal(0),), (Literal(1), Literal(1))), 3))
+    # a scheme's value in place of the Scheme
+    with pytest.raises(GrammarError, match="unknown scheme"):
+        phrase_lengths(Parsing("lzd", (), 0))
 
 
 def _with_phrase(parsing, i, phrase):
@@ -370,6 +373,9 @@ def test_distinctness_checks():
                   (Literal(0), Literal(1), Literal(2), Literal(0), Literal(1)),
                   5)
     assert not check_lzmw_pair_distinct(bad)
+    # The pair string (0,0) at three indices, adjacent or not.
+    zeros = Parsing(Scheme.LZMW, (Literal(0),) * 4, 4)
+    assert not check_lzmw_pair_distinct(zeros)
     with pytest.raises(ValueError):
         check_lzd_distinct(EX1_LZMW)
     with pytest.raises(ValueError):
@@ -431,3 +437,6 @@ def test_grammar_validation_errors():
     del missing[g.start]
     with pytest.raises(GrammarError):
         validate_grammar(Grammar(missing, g.start))
+    gap = Grammar({1: (Literal(0),), 3: (1, 2)}, 3)
+    with pytest.raises(GrammarError, match="rule 3 references missing 2"):
+        validate_grammar(gap)
