@@ -28,7 +28,6 @@ import hashlib
 import io
 import os
 import random
-import sys
 import tempfile
 
 from lzgram import Scheme, make_text
@@ -101,7 +100,6 @@ def main_digests() -> None:
                 print(f"{name}/{scheme.value} {algo} parse={code} "
                       f"stdout={digest(stdout)} file={file_digest} "
                       f"verify={verify}")
-                sys.stdout.flush()
 
 
 if __name__ == "__main__":
